@@ -11,8 +11,9 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use wolt_daemon::wire::FleetOp;
-use wolt_daemon::{run_agent_burst, wire, AgentRetry, Daemon, DaemonConfig, Envelope};
-use wolt_fleet::{Fleet, FleetConfig, FleetSpec};
+use wolt_daemon::{
+    run_agent_burst, wire, AgentRetry, Daemon, DaemonConfig, Envelope, Fleet, FleetSpec,
+};
 use wolt_sim::scenario::ScenarioConfig;
 use wolt_sim::Scenario;
 use wolt_support::json::{Json, ToJson};
@@ -159,13 +160,12 @@ pub fn serve_fleet(opts: &FleetServeOptions) -> Result<String, CliError> {
     let spec = FleetSpec::parse(&text)?;
     let defs = spec.materialize()?;
     let n_sites = defs.len();
-    let config = FleetConfig {
-        shards: opts.shards,
-        snapshot_root: opts.snapshot.clone(),
-        linger: opts.linger,
-        coalesce: opts.coalesce,
-        ..FleetConfig::default()
-    };
+    // The policy is per site (each spec entry names its own).
+    let mut config = DaemonConfig::new(ControllerPolicy::Wolt);
+    config.shards = opts.shards;
+    config.snapshot_dir = opts.snapshot.clone();
+    config.linger = opts.linger;
+    config.coalesce = opts.coalesce;
     let fleet = Fleet::bind(opts.addr.as_str(), defs, config)?;
     let bound = fleet.local_addr()?;
     if let Some(path) = &opts.addr_file {

@@ -1,8 +1,7 @@
 //! The transport-agnostic session engine: one site's Central Controller
-//! session loop, factored out of [`crate::server::Daemon`] so it can be
-//! driven two ways — exclusively by one `Daemon` (the single-site
-//! server), or multiplexed with other sites' engines on a fleet shard
-//! (`wolt_fleet`).
+//! session loop, stepped by a shard thread of the shared host
+//! ([`crate::host`]) — alone for a single-site [`crate::Daemon`], or
+//! multiplexed with other sites' engines for a [`crate::Fleet`].
 //!
 //! The engine owns everything the session loop used to own inline: the
 //! [`ControllerCore`], the agent writers, the bounded inbox receiver,
@@ -13,13 +12,21 @@
 //!
 //! [`SessionEngine::step`] runs one bounded unit of work — a short
 //! connect-wait poll, or one full session event (command, report,
-//! directive transaction, snapshot) — and returns. A fleet shard
-//! round-robins `step` across its sites; the single-site daemon just
-//! loops it. Because one engine is stepped by exactly one thread and
-//! every decision stays inside its own `ControllerCore`, the canonical
-//! report a site produces is byte-identical however many engines share
-//! the process — the fleet's headline invariant is structural, not
-//! coincidental: the single-site daemon *is* a one-engine fleet.
+//! directive transaction, snapshot) — and returns. A shard round-robins
+//! `step` across its sites. Because one engine is stepped by exactly one
+//! thread and every decision stays inside its own `ControllerCore`, the
+//! canonical report a site produces is byte-identical however many
+//! engines share the process — the fleet's headline invariant is
+//! structural, not coincidental: the single-site daemon *is* a one-site
+//! fleet.
+//!
+//! The directive retransmit loop is the shared sans-I/O
+//! [`wolt_testbed::Transaction`]; the engine only writes its
+//! transmissions to sockets and handles what else the inbox delivers.
+//! Every protocol message is checked against the site's dimensions
+//! before it reaches the core: a frame that would index out of range or
+//! poison planning with a non-finite rate is dropped and counted in
+//! `daemon.frames_rejected`.
 
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
@@ -37,10 +44,11 @@ use wolt_testbed::codec::ReadPatience;
 use wolt_testbed::protocol::{ToAgent, ToClient, ToController};
 use wolt_testbed::{
     assemble_report, coalesce_frames, ControllerConfig, ControllerCore, Deadlines, Directive,
-    ReportFrame, SessionEvent, SessionLedger, TestbedError,
+    ReportFrame, SessionEvent, SessionLedger, TestbedError, Transaction, Transmission,
 };
 use wolt_units::Mbps;
 
+use crate::host::SiteDef;
 use crate::inbox::{self, Inbox, InboxSender};
 use crate::server::{DaemonConfig, DaemonOutcome, DaemonStats};
 use crate::snapshot::DaemonSnapshot;
@@ -179,7 +187,6 @@ enum Phase {
 /// `new → step…step (until Finished or Err) → dismiss_agents →
 /// reap_strays… → finish`.
 pub struct SessionEngine {
-    site: String,
     scenario: Scenario,
     events: Vec<SessionEvent>,
     config: DaemonConfig,
@@ -207,9 +214,10 @@ impl SessionEngine {
     /// no sender itself, so once every reader is gone the inbox
     /// disconnects and teardown can prove quiescence.
     ///
-    /// `site` is the empty string for the single-site daemon; a fleet
-    /// passes each site's id, which stamps the snapshot store and the
-    /// per-site metrics.
+    /// `def` names the site (the empty id for the single-site daemon; a
+    /// fleet site's id stamps the snapshot store and the per-site
+    /// metrics) and overrides the per-site settings of the host-level
+    /// `config` (see [`SiteDef`]).
     ///
     /// # Errors
     ///
@@ -218,11 +226,16 @@ impl SessionEngine {
     /// unrecoverable (or wrong-site) store; [`DaemonError::Protocol`]
     /// for a snapshot that does not match the scenario.
     pub fn new(
-        site: &str,
-        scenario: Scenario,
-        events: Vec<SessionEvent>,
-        config: DaemonConfig,
+        def: SiteDef,
+        config: &DaemonConfig,
     ) -> Result<(Self, InboxSender<Incoming>), DaemonError> {
+        let config = config.for_site(&def);
+        let SiteDef {
+            id: site,
+            scenario,
+            events,
+            ..
+        } = def;
         if scenario.user_positions.is_empty() || scenario.extender_positions.is_empty() {
             return Err(DaemonError::InvalidConfig {
                 context: "scenario needs at least one user and one extender".into(),
@@ -258,7 +271,7 @@ impl SessionEngine {
         // (every generation damaged, or stamped for another site)
         // errors out.
         let store = match &config.snapshot_dir {
-            Some(dir) => Some(SnapshotStore::open_site(dir, config.snapshot_keep, site)?),
+            Some(dir) => Some(SnapshotStore::open_site(dir, config.snapshot_keep, &site)?),
             None => None,
         };
         let restored = match &store {
@@ -299,6 +312,7 @@ impl SessionEngine {
         let (tx, rx) = inbox::channel::<Incoming>(config.inbox_cap, incoming_sheddable);
         let session = Session {
             core,
+            n_extenders: scenario.extender_positions.len(),
             deadlines: config.deadlines,
             writers: (0..n_users).map(|_| None).collect(),
             rx,
@@ -310,20 +324,19 @@ impl SessionEngine {
             ctr_coalesced: if site.is_empty() {
                 None
             } else {
-                Some(obs::site_counter(site, "frames_coalesced"))
+                Some(obs::site_counter(&site, "frames_coalesced"))
             },
         };
         let (ctr_epochs, ctr_solved) = if site.is_empty() {
             (None, None)
         } else {
             (
-                Some(obs::site_counter(site, "epochs")),
-                Some(obs::site_counter(site, "solved")),
+                Some(obs::site_counter(&site, "epochs")),
+                Some(obs::site_counter(&site, "solved")),
             )
         };
         Ok((
             Self {
-                site: site.to_string(),
                 scenario,
                 events,
                 config,
@@ -344,11 +357,6 @@ impl SessionEngine {
         ))
     }
 
-    /// The site this engine serves (empty for a single-site daemon).
-    pub fn site(&self) -> &str {
-        &self.site
-    }
-
     /// The handshake greeting: each client's saved attachment at
     /// startup.
     pub fn greeting(&self) -> Arc<Vec<Option<usize>>> {
@@ -363,11 +371,6 @@ impl SessionEngine {
     /// Events configured in total.
     pub fn n_events(&self) -> usize {
         self.events.len()
-    }
-
-    /// Users in this engine's scenario.
-    pub fn n_users(&self) -> usize {
-        self.scenario.user_positions.len()
     }
 
     /// Runs one bounded unit of work: a short connect-wait poll while
@@ -547,9 +550,6 @@ impl SessionEngine {
                 }
             }
             self.advance_epoch(idx);
-            if let Some(bound) = self.config.max_staleness {
-                self.session.core.evict_stale(bound);
-            }
             if let Some(store) = self.store.as_mut() {
                 // A crash on either side of the save is recoverable:
                 // before it, the restarted daemon replays this event;
@@ -594,6 +594,10 @@ impl SessionEngine {
     /// teardown window counted into the outcome's elapsed time.
     pub fn dismiss_agents(&mut self) {
         self.teardown_started.get_or_insert_with(Instant::now);
+        // Clear what is already queued first (the session will never
+        // process it), so the dismissed agents' `Gone` notices find room
+        // in a bounded inbox instead of shedding leftover telemetry.
+        self.session.rx.drain().into_iter().for_each(dismiss_stray);
         self.session.shutdown_agents();
     }
 
@@ -604,13 +608,11 @@ impl SessionEngine {
     /// quiescent.
     pub fn reap_strays(&mut self, wait: Duration) -> bool {
         match self.session.rx.recv_timeout(wait) {
-            Ok(Incoming::Register { mut writer, .. }) => {
-                let _ = wire::send(&mut writer, &Envelope::Agent(ToAgent::Shutdown));
+            Ok(msg) => {
+                dismiss_stray(msg);
                 false
             }
-            Ok(_) => false,
-            Err(RecvTimeoutError::Timeout) => false,
-            Err(RecvTimeoutError::Disconnected) => true,
+            Err(e) => e == RecvTimeoutError::Disconnected,
         }
     }
 
@@ -662,6 +664,14 @@ impl SessionEngine {
     }
 }
 
+/// Handles one message found in the inbox during teardown: a late
+/// registration is dismissed, anything else discarded.
+fn dismiss_stray(msg: Incoming) {
+    if let Incoming::Register { mut writer, .. } = msg {
+        let _ = wire::send(&mut writer, &Envelope::Agent(ToAgent::Shutdown));
+    }
+}
+
 /// What the accept path decided for one agent hello.
 pub enum HelloDecision {
     /// Register the agent with this session inbox and greet it with its
@@ -669,6 +679,12 @@ pub enum HelloDecision {
     Accept {
         /// The session inbox of the site that owns this agent.
         sender: InboxSender<Incoming>,
+        /// The saved attachment for the handshake ack.
+        attached: Option<usize>,
+    },
+    /// The site's session is already over: greet the agent, then
+    /// dismiss it at once, as its peers were dismissed.
+    Dismiss {
         /// The saved attachment for the handshake ack.
         attached: Option<usize>,
     },
@@ -741,6 +757,17 @@ pub fn serve_connection(
                         }
                         break (client, sender);
                     }
+                    HelloDecision::Dismiss { attached } => {
+                        note_frame_in(bytes);
+                        let dismissal = Envelope::Agent(ToAgent::Shutdown);
+                        for reply in [Envelope::HelloAck { attached }, dismissal] {
+                            match wire::send_counted(&mut stream, &reply) {
+                                Ok(sent) => note_frame_out(sent),
+                                Err(_) => return,
+                            }
+                        }
+                        return;
+                    }
                     HelloDecision::Reject(reply) => {
                         note_frame_in(bytes);
                         if let Ok(sent) = wire::send_counted(&mut stream, &reply) {
@@ -771,6 +798,12 @@ pub fn serve_connection(
         match recv(&mut stream) {
             Ok(Some((Envelope::Ctrl(msg), bytes))) => {
                 note_frame_in(bytes);
+                // A connection speaks only for the client its hello
+                // named: a frame claiming another client is dropped.
+                if msg_client(&msg) != client {
+                    obs::counter_inc("daemon.frames_rejected");
+                    continue;
+                }
                 if tx.send(Incoming::Msg(msg)).is_err() {
                     return;
                 }
@@ -792,6 +825,15 @@ pub fn serve_connection(
                 return;
             }
         }
+    }
+}
+
+/// The client a protocol message speaks for.
+fn msg_client(msg: &ToController) -> usize {
+    match *msg {
+        ToController::Report { client, .. }
+        | ToController::Departed { client, .. }
+        | ToController::Ack { client, .. } => client,
     }
 }
 
@@ -822,7 +864,11 @@ pub fn spawn_acceptor(
     Ok(thread::spawn(move || {
         // The pool lives (and joins its readers) on this thread.
         let pool = pool;
-        while !stop.load(Ordering::Relaxed) {
+        loop {
+            // Once stopping, the listener still drains its backlog: a
+            // peer whose connection completed before the stop is served
+            // (a late agent is dismissed) instead of reset.
+            let stopping = stop.load(Ordering::Relaxed);
             match listener.accept() {
                 Ok((mut stream, _)) => {
                     if max_connections > 0 && active.load(Ordering::Relaxed) >= max_connections {
@@ -851,7 +897,7 @@ pub fn spawn_acceptor(
                         active.fetch_sub(1, Ordering::Relaxed);
                     });
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock && !stopping => {
                     thread::sleep(Duration::from_millis(2));
                 }
                 Err(_) => break,
@@ -864,6 +910,9 @@ pub fn spawn_acceptor(
 /// transport bookkeeping.
 struct Session {
     core: ControllerCore,
+    /// Extenders at this site: the bound every frame's extender indices
+    /// and rate vectors are checked against.
+    n_extenders: usize,
     deadlines: Deadlines,
     writers: Vec<Option<TcpStream>>,
     rx: Inbox<Incoming>,
@@ -877,13 +926,32 @@ struct Session {
     ctr_coalesced: Option<obs::Counter>,
 }
 
-/// A directive awaiting its ack over TCP.
-struct PendingDirective {
-    client: usize,
-    extender: usize,
-    seq: u64,
-    attempt: u32,
-    deadline: Instant,
+/// Whether a protocol message fits a site of `n_users` clients and
+/// `n_extenders` extenders: every index in range, one rate per extender,
+/// and every rate finite and non-negative. The core indexes by these
+/// values and plans on these rates, so only a message that fits may
+/// reach it.
+fn fits_site(msg: &ToController, n_users: usize, n_extenders: usize) -> bool {
+    match msg {
+        ToController::Report {
+            client,
+            rates,
+            attached,
+            ..
+        } => {
+            *client < n_users
+                && *attached < n_extenders
+                && rates.len() == n_extenders
+                && rates
+                    .iter()
+                    .flatten()
+                    .all(|r| r.value().is_finite() && r.value() >= 0.0)
+        }
+        ToController::Departed { client, .. } => *client < n_users,
+        ToController::Ack {
+            client, extender, ..
+        } => *client < n_users && *extender < n_extenders,
+    }
 }
 
 impl Session {
@@ -938,7 +1006,9 @@ impl Session {
                     }
                     continue;
                 }
-                let incoming = drained.pop().expect("drained run is never empty");
+                let Some(incoming) = drained.pop() else {
+                    continue;
+                };
                 match incoming {
                     Incoming::Register { client: c, writer } => {
                         self.writers[c] = Some(writer);
@@ -1014,13 +1084,23 @@ impl Session {
     /// reports when coalescing is on, exactly one message when it is
     /// off. Batching is structural (drain-what's-queued), never
     /// time-based, so a clean serialized session — where at most one
-    /// report is ever queued — behaves identically either way.
+    /// report is ever queued — behaves identically either way. Messages
+    /// that do not fit the site are dropped here and counted in
+    /// `daemon.frames_rejected`, so the run may come back empty.
     fn recv_run(&self, wait: Duration) -> Result<Vec<Incoming>, RecvTimeoutError> {
-        if self.coalesce {
-            self.rx.recv_batch_timeout(wait, incoming_sheddable)
+        let mut run = if self.coalesce {
+            self.rx.recv_batch_timeout(wait, incoming_sheddable)?
         } else {
-            self.rx.recv_timeout(wait).map(|m| vec![m])
-        }
+            vec![self.rx.recv_timeout(wait)?]
+        };
+        run.retain(|m| match m {
+            Incoming::Msg(msg) if !fits_site(msg, self.writers.len(), self.n_extenders) => {
+                obs::counter_inc("daemon.frames_rejected");
+                false
+            }
+            _ => true,
+        });
+        Ok(run)
     }
 
     /// Counts frames dropped by coalescing, globally and per site.
@@ -1053,45 +1133,19 @@ impl Session {
         Ok(Some(last_epoch))
     }
 
-    /// One directive transaction over TCP — the rig's `run_transaction`
-    /// with socket writes for sends and the merged queue for receives.
+    /// One directive transaction over TCP: the shared [`Transaction`]
+    /// with socket writes for its transmissions and the merged inbox for
+    /// everything it waits on.
     fn transact(&mut self, directives: Vec<Directive>, epoch: u64) -> Result<(), DaemonError> {
-        let mut pending: Vec<PendingDirective> = Vec::new();
-        self.enqueue(&mut pending, directives);
-        while !pending.is_empty() {
-            let now = Instant::now();
-            let mut d = 0;
-            while d < pending.len() {
-                if pending[d].deadline > now {
-                    d += 1;
-                    continue;
-                }
-                if pending[d].attempt >= self.deadlines.ack_attempts {
-                    let casualty = pending.remove(d).client;
-                    // The dead client's load vanishes: re-optimize the
-                    // survivors (may supersede other in-flight
-                    // directives).
-                    let replan = self.core.declare_dead(casualty)?;
-                    self.enqueue(&mut pending, replan);
-                    d = 0;
-                } else {
-                    let p = &mut pending[d];
-                    p.attempt += 1;
-                    self.retries += 1;
-                    p.deadline = now + self.deadlines.backoff(p.attempt);
-                    let (client, extender, seq, attempt) = (p.client, p.extender, p.seq, p.attempt);
-                    self.send_directive(client, extender, seq, attempt);
-                    d += 1;
-                }
+        let mut txn = Transaction::open(self.deadlines, epoch, directives);
+        loop {
+            for t in txn.on_tick(&mut self.core, Instant::now())? {
+                self.send_directive(t);
             }
-            if pending.is_empty() {
-                break;
-            }
-            let next = pending
-                .iter()
-                .map(|p| p.deadline)
-                .min()
-                .expect("pending is non-empty");
+            let Some(next) = txn.next_deadline() else {
+                self.retries += txn.retransmissions();
+                return Ok(());
+            };
             let wait = next.saturating_duration_since(Instant::now());
             let mut drained = match self.recv_run(wait) {
                 Ok(batch) => batch,
@@ -1107,17 +1161,16 @@ impl Session {
                 // copies, which count as coalesced.
                 self.msgs_in += drained.len();
                 let frames = report_frames(drained);
-                if frames.iter().any(|f| f.epoch > epoch) {
-                    return Err(TestbedError::AssignmentFailed {
-                        context: "unexpected message during directive transaction".to_string(),
-                    }
-                    .into());
+                for frame in &frames {
+                    txn.on_event(frame.epoch)?;
                 }
                 let (_, dropped) = coalesce_frames(frames);
                 self.note_coalesced(dropped);
                 continue;
             }
-            let incoming = drained.pop().expect("drained run is never empty");
+            let Some(incoming) = drained.pop() else {
+                continue;
+            };
             match incoming {
                 Incoming::Msg(ToController::Ack {
                     client,
@@ -1125,22 +1178,12 @@ impl Session {
                     extender,
                 }) => {
                     self.msgs_in += 1;
-                    if self.core.handle_ack(client, seq, extender) {
-                        pending.retain(|p| !(p.client == client && p.seq == seq));
-                    }
+                    txn.on_ack(&mut self.core, client, seq, extender);
                 }
                 Incoming::Msg(ToController::Report { epoch: e, .. })
                 | Incoming::Msg(ToController::Departed { epoch: e, .. }) => {
                     self.msgs_in += 1;
-                    // Retransmissions of the current (or an older) event
-                    // are expected; a genuinely new event mid-transaction
-                    // means serialization broke.
-                    if e > epoch {
-                        return Err(TestbedError::AssignmentFailed {
-                            context: "unexpected message during directive transaction".to_string(),
-                        }
-                        .into());
-                    }
+                    txn.on_event(e)?;
                 }
                 Incoming::Register { client, writer } => {
                     self.writers[client] = Some(writer);
@@ -1157,37 +1200,20 @@ impl Session {
                 }
             }
         }
-        Ok(())
-    }
-
-    /// Adds planned directives to the pending set (superseding in-flight
-    /// ones for the same client) and performs their first transmission.
-    fn enqueue(&mut self, pending: &mut Vec<PendingDirective>, directives: Vec<Directive>) {
-        for dir in directives {
-            pending.retain(|p| p.client != dir.client);
-            pending.push(PendingDirective {
-                client: dir.client,
-                extender: dir.extender,
-                seq: dir.seq,
-                attempt: 1,
-                deadline: Instant::now() + self.deadlines.backoff(1),
-            });
-            self.send_directive(dir.client, dir.extender, dir.seq, 1);
-        }
     }
 
     /// Sends one directive transmission; a broken pipe drops the writer
     /// and lets the ack machinery handle the silence.
-    fn send_directive(&mut self, client: usize, extender: usize, seq: u64, attempt: u32) {
+    fn send_directive(&mut self, t: Transmission) {
         let env = Envelope::Client(ToClient::Directive {
-            extender,
-            seq,
-            attempt,
+            extender: t.extender,
+            seq: t.seq,
+            attempt: t.attempt,
         });
-        if let Some(w) = self.writers[client].as_mut() {
+        if let Some(w) = self.writers[t.client].as_mut() {
             match wire::send_counted(w, &env) {
                 Ok(sent) => note_frame_out(sent),
-                Err(_) => self.writers[client] = None,
+                Err(_) => self.writers[t.client] = None,
             }
         }
     }
@@ -1220,5 +1246,48 @@ impl Session {
             }
             let _ = w.flush();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn report(client: usize, rates: &[f64], attached: usize) -> ToController {
+        ToController::Report {
+            client,
+            epoch: 0,
+            rates: rates.iter().map(|&r| Some(Mbps::new(r))).collect(),
+            attached,
+        }
+    }
+
+    #[test]
+    fn only_messages_that_fit_the_site_reach_the_core() {
+        // Two clients, two extenders.
+        let fits = |msg: &ToController| fits_site(msg, 2, 2);
+        assert!(fits(&report(1, &[10.0, 0.0], 1)));
+        assert!(!fits(&report(2, &[10.0, 0.0], 0)), "foreign client");
+        assert!(!fits(&report(0, &[10.0, 0.0], 2)), "extender out of range");
+        assert!(!fits(&report(0, &[f64::NAN, 1.0], 0)), "NaN rate");
+        assert!(!fits(&report(0, &[f64::INFINITY, 1.0], 0)), "infinite rate");
+        assert!(!fits(&report(0, &[-1.0, 1.0], 0)), "negative rate");
+        assert!(!fits(&report(0, &[1.0], 0)), "short rate vector");
+        assert!(fits(&ToController::Departed {
+            client: 1,
+            epoch: 3
+        }));
+        assert!(!fits(&ToController::Departed {
+            client: 2,
+            epoch: 3
+        }));
+        let ack = |client, extender| ToController::Ack {
+            client,
+            seq: 0,
+            extender,
+        };
+        assert!(fits(&ack(0, 1)));
+        assert!(!fits(&ack(0, 2)), "ack names an extender out of range");
+        assert!(!fits(&ack(5, 0)), "ack from a foreign client");
     }
 }

@@ -138,6 +138,13 @@ pub struct Inbox<T> {
 }
 
 impl<T> Inbox<T> {
+    /// Takes everything queued right now, oldest first, without
+    /// waiting.
+    pub fn drain(&self) -> Vec<T> {
+        let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.queue.drain(..).map(|(_, msg)| msg).collect()
+    }
+
     /// Blocks for the next message, up to `timeout`. The error cases
     /// mirror `mpsc::Receiver::recv_timeout`: `Timeout` when the window
     /// expires, `Disconnected` when every sender is gone and the queue
@@ -291,6 +298,16 @@ mod tests {
         let drained: Vec<u32> =
             std::iter::from_fn(|| rx.recv_timeout(Duration::ZERO).ok()).collect();
         assert_eq!(drained, vec![2, 4, 6]);
+    }
+
+    #[test]
+    fn drain_takes_everything_queued_in_order() {
+        let (tx, rx) = channel::<u32>(0, odd_is_sheddable);
+        for i in 0..3 {
+            tx.send(i).unwrap();
+        }
+        assert_eq!(rx.drain(), vec![0, 1, 2]);
+        assert!(rx.drain().is_empty());
     }
 
     #[test]

@@ -12,12 +12,51 @@
 //! that checksums clean.
 //!
 //! Every association *decision* lives in the shared
-//! [`wolt_testbed::ControllerCore`]; this crate contributes only
+//! [`wolt_testbed::ControllerCore`], and every directive exchange in the
+//! shared [`wolt_testbed::Transaction`]; this crate contributes only
 //! transport. That is what makes the daemon's clean-session
 //! [`wolt_testbed::SessionReport`] canonically byte-identical to
 //! [`wolt_testbed::run_session`] for the same (scenario, seed, policy):
 //! both transports feed the identical core the identical inputs in the
 //! identical order.
+//!
+//! # One server, one or many sites
+//!
+//! An enterprise deployment is rarely one PLC segment. Each floor (or
+//! building wing) is its own electrically-isolated powerline network
+//! with its own extenders, its own users, and its own Central
+//! Controller state — but operators want *one* long-running service,
+//! one address, one snapshot root, one metrics endpoint. A
+//! [`host::Fleet`] is exactly that: one TCP listener and N independent
+//! [`SessionEngine`]s, one per site. The single-site [`Daemon`] is the
+//! same host with one anonymous site (id `""`).
+//!
+//! The determinism contract survives multiplexing by construction:
+//!
+//! - **Routing, not sharing.** Agents declare their site in the
+//!   handshake (`hello.site`); the [`router::FleetRouter`] maps the
+//!   hello to that site's session inbox. A hello naming a site the host
+//!   does not host (or no longer hosts) gets the typed
+//!   [`Envelope::SiteGone`] reject, which agents treat as fatal — never
+//!   retried.
+//! - **One owner per site.** Sites are partitioned across shard
+//!   threads by [`shard::partition`] — a pure function of the sorted
+//!   site list and the shard count, independent of registry insertion
+//!   order and seeds. A shard steps each of its engines in turn; an
+//!   engine is only ever touched by its shard, so every site's decision
+//!   sequence is exactly the single-daemon sequence.
+//! - **Isolated persistence.** Each site snapshots into its own
+//!   subdirectory of the snapshot root (`<root>/<site-id>/`; the
+//!   anonymous site into the root itself), and every snapshot stamps
+//!   the site id into its header — a mis-wired root fails typed
+//!   ([`SnapshotCorrupt::WrongSite`]) instead of silently adopting
+//!   another segment's state.
+//!
+//! The headline invariant, proven by the integration tests: a fleet
+//! running N sites produces, per site, a canonical
+//! [`wolt_testbed::SessionReport`] byte-identical to N separate
+//! single-site daemons — at any shard count, including across a
+//! kill/restart from the fleet snapshot root.
 //!
 //! Hermetic like the rest of the workspace: `std::net` only, no external
 //! crates.
@@ -27,9 +66,13 @@
 
 pub mod agent;
 pub mod engine;
+pub mod host;
 pub mod inbox;
+pub mod router;
 pub mod server;
+pub mod shard;
 pub mod snapshot;
+pub mod spec;
 pub mod store;
 pub mod wire;
 
@@ -40,8 +83,11 @@ pub use agent::{
 };
 pub use engine::{EngineStep, Incoming, SessionEngine};
 pub use error::{DaemonError, SnapshotCorrupt};
+pub use host::{Fleet, FleetOutcome, SiteDef};
+pub use router::FleetRouter;
 pub use server::{Daemon, DaemonConfig, DaemonOutcome, DaemonStats};
 pub use snapshot::DaemonSnapshot;
+pub use spec::FleetSpec;
 pub use store::SnapshotStore;
 pub use wire::Envelope;
 

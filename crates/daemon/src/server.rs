@@ -16,15 +16,19 @@
 //!
 //! # Concurrency
 //!
-//! One reader task per connection (on a [`wolt_support::pool::TaskPool`])
-//! parses frames and forwards them into a single bounded
-//! [`inbox`](crate::inbox) queue; the session loop — a
-//! [`SessionEngine`](crate::engine::SessionEngine) stepped by this one
-//! thread — is the only code that touches the controller core or writes
-//! to agent sockets. The accept loop runs on its own thread with a
-//! nonblocking listener so shutdown is prompt. (`Daemon` is exactly a
-//! one-engine fleet: `wolt_fleet` steps many of these engines on shared
-//! shard threads.)
+//! `Daemon` is a one-site [`Fleet`](crate::Fleet): it runs the shared
+//! host ([`crate::host`]) with a single anonymous site (id `""`), so
+//! accept, routing, operator control and teardown are the fleet's own.
+//! One reader task per connection (on a
+//! [`wolt_support::pool::TaskPool`]) parses frames and forwards them
+//! into a single bounded [`inbox`](crate::inbox) queue; the session loop
+//! — a [`SessionEngine`](crate::engine::SessionEngine) stepped by one
+//! shard thread — is the only code that touches the controller core or
+//! writes to agent sockets. The accept loop runs on its own thread with
+//! a nonblocking listener so shutdown is prompt. What distinguishes the
+//! daemon on the wire is fixed by its constructor: a sited hello gets
+//! [`Envelope::SiteGone`], and fleet operations get a `fleet_ack`
+//! refusal.
 //!
 //! # Persistence
 //!
@@ -49,26 +53,28 @@
 //! at `inbox_cap` entries, shedding the oldest queued telemetry first —
 //! never acks or lifecycle messages (`daemon.frames_shed`).
 
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread;
 use std::time::Duration;
 
 use wolt_plc::capacity::CapacityEstimator;
 use wolt_sim::Scenario;
-use wolt_support::obs;
 use wolt_testbed::{ControllerPolicy, Deadlines, SessionEvent, SessionReport};
 
-use crate::engine::{self, EngineStep, HelloDecision, Incoming, SessionEngine};
+use crate::host::{self, SiteDef};
 use crate::store;
-use crate::wire::{self, Envelope};
+#[cfg(doc)]
+use crate::wire::Envelope;
 use crate::DaemonError;
 
 pub use crate::engine::{CRASH_POST_SNAPSHOT, CRASH_PRE_SNAPSHOT};
 
 /// Daemon configuration beyond the scenario and event list.
+///
+/// A [`Fleet`](crate::Fleet) takes the same struct for its host-level
+/// settings; each of its [`SiteDef`]s overrides the per-site ones
+/// (`policy`, `noise_seed`, `stop_after`), and `snapshot_dir` becomes
+/// the fleet root.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
     /// Association logic at the CC.
@@ -81,6 +87,8 @@ pub struct DaemonConfig {
     pub noise_seed: u64,
     /// Directory for the generational snapshot store
     /// ([`crate::store::SnapshotStore`]); `None` disables persistence.
+    /// On a fleet this is the root: each site persists under
+    /// `<dir>/<site-id>/`.
     pub snapshot_dir: Option<PathBuf>,
     /// Snapshot generations kept on disk (must be ≥ 1 when persistence
     /// is on); older generations are pruned after each save.
@@ -91,21 +99,12 @@ pub struct DaemonConfig {
     pub stop_after: Option<usize>,
     /// How long to wait for every agent to connect before giving up.
     pub connect_deadline: Duration,
-    /// Reader-pool workers; `0` sizes the pool to `n_users + 2` (one per
-    /// expected agent plus slack for an operator connection).
-    pub workers: usize,
-    /// Evict telemetry entries staler than this many epochs after each
-    /// event. Off by default: agents report once at join, so a client's
-    /// staleness grows with every later epoch and an aggressive bound
-    /// would evict *live* clients (and change planning inputs). Enable
-    /// only for open-ended deployments where departed clients may vanish
-    /// without a notice.
-    pub max_staleness: Option<u64>,
     /// How long to keep the listener (and metrics service) alive after
     /// the last event completes, before dismissing agents and shutting
     /// down. Zero by default. Gives external scrapers a deterministic
     /// window to read the finished session's counters over the
-    /// [`Envelope::MetricsRequest`] envelope.
+    /// [`Envelope::MetricsRequest`] envelope. On a fleet, the last site
+    /// to finish lingers.
     pub linger: Duration,
     /// Concurrent connections accepted before new arrivals are refused
     /// with [`Envelope::Busy`]; `0` means unlimited.
@@ -126,6 +125,10 @@ pub struct DaemonConfig {
     /// report queued at a time — is byte-identical with it on or off.
     /// On by default.
     pub coalesce: bool,
+    /// Shard threads stepping the hosted sites; `0` resolves like the
+    /// rest of the workspace (`WOLT_THREADS`, then available
+    /// parallelism). A single-site daemon never uses more than one.
+    pub shards: usize,
 }
 
 impl DaemonConfig {
@@ -140,13 +143,26 @@ impl DaemonConfig {
             snapshot_keep: store::DEFAULT_KEEP,
             stop_after: None,
             connect_deadline: Duration::from_secs(30),
-            workers: 0,
-            max_staleness: None,
             linger: Duration::ZERO,
             max_connections: 0,
             inbox_cap: 0,
             read_stall: Duration::from_secs(5),
             coalesce: true,
+            shards: 0,
+        }
+    }
+
+    /// The engine config of one hosted site: these host-level settings
+    /// with the site's own overriding the per-site ones. The site
+    /// persists under `<snapshot_dir>/<id>/`, so the anonymous site of a
+    /// single-site daemon persists in `snapshot_dir` itself.
+    pub(crate) fn for_site(&self, def: &SiteDef) -> Self {
+        Self {
+            policy: def.policy,
+            noise_seed: def.noise_seed,
+            stop_after: def.stop_after,
+            snapshot_dir: self.snapshot_dir.as_ref().map(|root| root.join(&def.id)),
+            ..self.clone()
         }
     }
 }
@@ -238,124 +254,21 @@ impl Daemon {
     /// [`DaemonError::Testbed`] for session-machinery failures;
     /// [`DaemonError::Io`] for socket failures.
     pub fn run(self) -> Result<DaemonOutcome, DaemonError> {
-        let n_users = self.scenario.user_positions.len();
-        let workers = if self.config.workers > 0 {
-            self.config.workers
-        } else {
-            n_users + 2
+        let site = SiteDef {
+            id: String::new(),
+            scenario: self.scenario,
+            events: self.events,
+            policy: self.config.policy,
+            noise_seed: self.config.noise_seed,
+            stop_after: self.config.stop_after,
         };
-        let linger = self.config.linger;
-        let max_connections = self.config.max_connections;
-        let read_stall = self.config.read_stall;
-
-        // The daemon is a one-engine fleet: a site-less engine plus an
-        // accept path that routes every hello to it.
-        let (mut engine, tx) = SessionEngine::new("", self.scenario, self.events, self.config)?;
-        let greeting = engine.greeting();
-        let stop = Arc::new(AtomicBool::new(false));
-
-        let handler: Arc<dyn Fn(TcpStream) + Send + Sync> = {
-            let stop = Arc::clone(&stop);
-            let tx = tx.clone();
-            Arc::new(move |stream| {
-                let route = |client: usize, site: Option<&str>| -> HelloDecision {
-                    if let Some(site) = site {
-                        // This daemon hosts exactly one anonymous site; a
-                        // sited hello is looking for a fleet.
-                        return HelloDecision::Reject(Envelope::SiteGone {
-                            site: site.to_string(),
-                        });
-                    }
-                    if client < greeting.len() {
-                        HelloDecision::Accept {
-                            sender: tx.clone(),
-                            attached: greeting[client],
-                        }
-                    } else {
-                        HelloDecision::Close
-                    }
-                };
-                let control = |stream: &mut TcpStream, envelope: Envelope| -> bool {
-                    match envelope {
-                        Envelope::Shutdown { reason } => {
-                            obs::trace("daemon", format!("operator stop: {reason}"));
-                            let _ = tx.send(Incoming::Stop { reason });
-                            false
-                        }
-                        Envelope::MetricsRequest => {
-                            obs::counter_inc("daemon.metrics_requests");
-                            let reply = Envelope::Metrics {
-                                metrics: obs::snapshot(),
-                            };
-                            match wire::send_counted(stream, &reply) {
-                                Ok(sent) => {
-                                    engine::note_frame_out(sent);
-                                    true
-                                }
-                                Err(_) => false,
-                            }
-                        }
-                        Envelope::Fleet(op) => {
-                            // Answer honestly so `wolt fleet …` against a
-                            // single-site daemon fails with a reason, not
-                            // a hang.
-                            let reply = Envelope::FleetAck {
-                                op: op.name().to_string(),
-                                site: op.site().to_string(),
-                                ok: false,
-                                detail: "this daemon is not a fleet".to_string(),
-                            };
-                            match wire::send_counted(stream, &reply) {
-                                Ok(sent) => {
-                                    engine::note_frame_out(sent);
-                                    true
-                                }
-                                Err(_) => false,
-                            }
-                        }
-                        _ => false,
-                    }
-                };
-                engine::serve_connection(stream, &stop, read_stall, &route, &control);
+        host::run_host(self.listener, vec![site], &self.config, false)?
+            .sites
+            .remove("")
+            .unwrap_or_else(|| {
+                Err(DaemonError::InvalidConfig {
+                    context: "the host returned no outcome for its only site".into(),
+                })
             })
-        };
-        let acceptor = engine::spawn_acceptor(
-            self.listener,
-            Arc::clone(&stop),
-            workers,
-            max_connections,
-            handler,
-        )?;
-        drop(tx);
-
-        let result = loop {
-            match engine.step() {
-                Ok(EngineStep::Finished) => break Ok(()),
-                Ok(_) => {}
-                Err(e) => break Err(e),
-            }
-        };
-        // Linger: keep the listener (and with it the metrics service)
-        // alive for a beat before dismissing agents, so scrapers polling
-        // over TCP deterministically observe the finished session.
-        if !linger.is_zero() {
-            thread::sleep(linger);
-        }
-        // Graceful teardown happens even on error paths: tell every
-        // connected agent to exit so their sockets close and the reader
-        // pool can drain.
-        engine.dismiss_agents();
-        stop.store(true, Ordering::Relaxed);
-        // Agents that registered after the session loop stopped reading
-        // still need a dismissal, or their reader tasks (and the pool
-        // join inside the acceptor thread) would wait forever.
-        while !acceptor.is_finished() {
-            if engine.reap_strays(Duration::from_millis(20)) {
-                break;
-            }
-        }
-        let _ = acceptor.join();
-        result?;
-        engine.finish()
     }
 }

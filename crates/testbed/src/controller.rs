@@ -321,20 +321,6 @@ impl ControllerCore {
         self.plan(None)
     }
 
-    /// Evicts telemetry entries staler than `max_staleness` epochs (see
-    /// [`TelemetryCache::evict_stale`]), so a long-running controller
-    /// whose clients vanish without a departure notice cannot retain
-    /// their state forever. Evicted clients are also unassigned in the
-    /// CC's view. Returns the evicted indices, ascending.
-    pub fn evict_stale(&mut self, max_staleness: u64) -> Vec<usize> {
-        let evicted = self.telemetry.evict_stale(max_staleness);
-        for &i in &evicted {
-            self.association[i] = None;
-            self.latest_seq[i] = None;
-        }
-        evicted
-    }
-
     /// Runs the policy on the telemetry view and returns a directive for
     /// every live client whose target changed, in ascending client
     /// order. Assigns sequence numbers and counts issued directives.
@@ -950,20 +936,6 @@ mod tests {
         assert_eq!(snap.telemetry[0], None);
         assert_eq!(snap.association[0], None);
         assert_eq!(snap.latest_seq[0], None);
-    }
-
-    #[test]
-    fn evict_stale_unassigns_evicted_clients() {
-        let mut cc = core(ControllerPolicy::Greedy, 2, &[60.0, 20.0]);
-        cc.handle_report(0, 0, &[mb(15.0), mb(10.0)], 0).unwrap();
-        // Client 1 reports at each later epoch; client 0 stays silent and
-        // ages past the bound.
-        cc.handle_report(1, 1, &[mb(40.0), mb(20.0)], 0).unwrap();
-        cc.handle_departed(1, 2).unwrap();
-        cc.handle_report(1, 3, &[mb(40.0), mb(20.0)], 0).unwrap();
-        assert_eq!(cc.evict_stale(2), vec![0]);
-        assert_eq!(cc.association()[0], None);
-        assert_eq!(cc.snapshot().telemetry[0], None);
     }
 
     #[test]

@@ -18,6 +18,9 @@
 //!   policy planning, monotone directive sequencing, declared-dead
 //!   bookkeeping, and JSON snapshot/restore. Both the in-process [`rig`]
 //!   and the networked `wolt-daemon` drive it.
+//! * [`transaction`] — one directive transaction (send, retransmit
+//!   with backoff, declare dead and replan) as a sans-I/O state machine
+//!   both transports drive.
 //! * [`codec`] — the length-prefixed JSON wire codec for [`protocol`]
 //!   messages, used by the daemon's TCP transport.
 //! * [`faults`] — seeded deterministic fault injection (message drop /
@@ -52,6 +55,7 @@ pub mod experiment;
 pub mod faults;
 pub mod protocol;
 pub mod rig;
+pub mod transaction;
 
 mod error;
 
@@ -65,3 +69,4 @@ pub use rig::{
     assemble_report, run_faulty_session, run_rig, run_session, ControllerPolicy, Deadlines,
     RigConfig, SessionEvent, SessionLedger, SessionReport, TopologyOutcome,
 };
+pub use transaction::{Transaction, Transmission};

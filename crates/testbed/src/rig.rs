@@ -54,6 +54,7 @@ use wolt_units::Mbps;
 use crate::controller::{ControllerConfig, ControllerCore, Directive};
 use crate::faults::{FaultPlan, Link, MessageKey};
 use crate::protocol::{ToAgent, ToClient, ToController};
+use crate::transaction::{Transaction, Transmission};
 use crate::TestbedError;
 
 /// Which association logic the Central Controller runs.
@@ -117,9 +118,8 @@ impl Default for Deadlines {
 impl Deadlines {
     /// The ack deadline for the given (1-based) transmission attempt:
     /// exponential backoff from [`ack`](Self::ack), capped at
-    /// [`ack_backoff_cap`](Self::ack_backoff_cap). Public so alternate
-    /// transports (the `wolt-daemon` TCP server) retransmit on the same
-    /// schedule as the in-process rig.
+    /// [`ack_backoff_cap`](Self::ack_backoff_cap): the schedule every
+    /// [`Transaction`] retransmits on.
     pub fn backoff(&self, attempt: u32) -> Duration {
         let factor = 1u32 << attempt.saturating_sub(1).min(16);
         self.ack.saturating_mul(factor).min(self.ack_backoff_cap)
@@ -673,15 +673,6 @@ struct ControllerReturn {
     association: Vec<Option<usize>>,
 }
 
-/// A directive awaiting its ack.
-struct PendingDirective {
-    client: usize,
-    extender: usize,
-    seq: u64,
-    attempt: u32,
-    deadline: Instant,
-}
-
 /// The Central Controller loop: dedup incoming events by epoch, hand each
 /// genuine event to the [`ControllerCore`] for planning, run one directive
 /// transaction per event, absorb late acks in between.
@@ -767,32 +758,9 @@ fn controller(
     }
 }
 
-/// Adds freshly planned directives to the pending set (superseding any
-/// in-flight directive for the same client) and performs their first
-/// transmission through the fault layer.
-fn enqueue_directives(
-    ctx: &ControllerCtx,
-    client_txs: &[Sender<AgentInbox>],
-    pending: &mut Vec<PendingDirective>,
-    directives: Vec<Directive>,
-) -> Result<(), TestbedError> {
-    for dir in directives {
-        pending.retain(|p| p.client != dir.client);
-        pending.push(PendingDirective {
-            client: dir.client,
-            extender: dir.extender,
-            seq: dir.seq,
-            attempt: 1,
-            deadline: Instant::now() + ctx.deadlines.backoff(1),
-        });
-        send_directive(ctx, client_txs, dir.client, dir.extender, dir.seq, 1)?;
-    }
-    Ok(())
-}
-
-/// One directive transaction: issue the planned directives, then
-/// retransmit with backoff until every pending directive is acked or its
-/// client is declared dead (which triggers a survivor replan).
+/// One directive transaction over the rig's channels: a [`Transaction`]
+/// whose transmissions go through the fault layer, fed from the CC
+/// inbox until every directive is acked or its client declared dead.
 fn run_transaction(
     core: &mut ControllerCore,
     ctx: &ControllerCtx,
@@ -802,73 +770,29 @@ fn run_transaction(
     rx: &Receiver<ToController>,
     client_txs: &[Sender<AgentInbox>],
 ) -> Result<(), TestbedError> {
-    let mut pending: Vec<PendingDirective> = Vec::new();
-    enqueue_directives(ctx, client_txs, &mut pending, directives)?;
-    while !pending.is_empty() {
-        let now = Instant::now();
-        // Sweep expired directives: retry with backoff, or declare the
-        // client dead after the retry budget and replan the survivors.
-        let mut d = 0;
-        while d < pending.len() {
-            if pending[d].deadline > now {
-                d += 1;
-                continue;
-            }
-            obs::counter_inc("cc.ack_timeouts");
-            if pending[d].attempt >= ctx.deadlines.ack_attempts {
-                let casualty = pending.remove(d).client;
-                // The dead client's load vanishes: re-optimize the
-                // survivors (may supersede other in-flight directives).
-                let replan = core.declare_dead(casualty)?;
-                enqueue_directives(ctx, client_txs, &mut pending, replan)?;
-                d = 0;
-            } else {
-                let p = &mut pending[d];
-                p.attempt += 1;
-                *retries += 1;
-                obs::counter_inc("cc.retransmissions");
-                p.deadline = now + ctx.deadlines.backoff(p.attempt);
-                send_directive(ctx, client_txs, p.client, p.extender, p.seq, p.attempt)?;
-                d += 1;
-            }
+    let mut txn = Transaction::open(ctx.deadlines, epoch, directives);
+    loop {
+        for t in txn.on_tick(core, Instant::now())? {
+            send_directive(ctx, client_txs, t)?;
         }
-        if pending.is_empty() {
-            break;
-        }
-        let next = pending
-            .iter()
-            .map(|p| p.deadline)
-            .min()
-            .expect("pending is non-empty");
-        let wait = next.saturating_duration_since(Instant::now());
-        match rx.recv_timeout(wait) {
+        let Some(next) = txn.next_deadline() else {
+            *retries += txn.retransmissions();
+            return Ok(());
+        };
+        match rx.recv_timeout(next.saturating_duration_since(Instant::now())) {
             Ok(ToController::Ack {
                 client,
                 seq,
                 extender,
-            }) => {
-                if core.handle_ack(client, seq, extender) {
-                    pending.retain(|p| !(p.client == client && p.seq == seq));
-                }
-            }
+            }) => txn.on_ack(core, client, seq, extender),
             Ok(ToController::Report { epoch: e, .. })
-            | Ok(ToController::Departed { epoch: e, .. }) => {
-                // Retransmissions and duplicates of the current (or an
-                // older) event are expected under faults; a genuinely new
-                // event mid-transaction means serialization broke.
-                if e > epoch {
-                    return Err(TestbedError::AssignmentFailed {
-                        context: "unexpected message during directive transaction".to_string(),
-                    });
-                }
-            }
+            | Ok(ToController::Departed { epoch: e, .. }) => txn.on_event(e)?,
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => {
                 return Err(TestbedError::ChannelClosed { endpoint: "client" })
             }
         }
     }
-    Ok(())
 }
 
 /// Sends one directive transmission through the fault layer. A closed
@@ -877,11 +801,14 @@ fn run_transaction(
 fn send_directive(
     ctx: &ControllerCtx,
     client_txs: &[Sender<AgentInbox>],
-    client: usize,
-    extender: usize,
-    seq: u64,
-    attempt: u32,
+    t: Transmission,
 ) -> Result<(), TestbedError> {
+    let Transmission {
+        client,
+        extender,
+        seq,
+        attempt,
+    } = t;
     let decision = ctx
         .plan
         .decide(Link::ToClient, MessageKey::directive(client, seq, attempt));

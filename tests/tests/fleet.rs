@@ -19,9 +19,9 @@ use std::time::{Duration, Instant};
 
 use wolt_daemon::wire::{self, FleetOp, SiteSpec};
 use wolt_daemon::{
-    run_agent, run_site_agent, AgentRetry, Daemon, DaemonConfig, DaemonError, Envelope,
+    run_agent, run_site_agent, AgentRetry, Daemon, DaemonConfig, DaemonError, Envelope, Fleet,
+    FleetOutcome, SiteDef,
 };
-use wolt_fleet::{Fleet, FleetConfig, FleetOutcome, SiteDef};
 use wolt_sim::Scenario;
 use wolt_support::obs;
 use wolt_testbed::{ControllerPolicy, SessionEvent};
@@ -114,10 +114,8 @@ fn run_fleet(defs: Vec<SiteDef>, snapshot_root: Option<PathBuf>) -> FleetOutcome
         .iter()
         .map(|d| (d.id.clone(), d.scenario.clone()))
         .collect();
-    let config = FleetConfig {
-        snapshot_root,
-        ..FleetConfig::default()
-    };
+    let mut config = DaemonConfig::new(ControllerPolicy::Wolt);
+    config.snapshot_dir = snapshot_root;
     let fleet = Fleet::bind("127.0.0.1:0", defs, config).expect("fleet bind");
     let addr = fleet.local_addr().expect("bound address");
     let agents: Vec<_> = scenarios
@@ -260,7 +258,12 @@ fn unknown_site_is_fatal_to_the_agent_not_retried() {
         stop_after: None,
     };
     let scenario = def.scenario.clone();
-    let fleet = Fleet::bind("127.0.0.1:0", vec![def], FleetConfig::default()).expect("fleet bind");
+    let fleet = Fleet::bind(
+        "127.0.0.1:0",
+        vec![def],
+        DaemonConfig::new(ControllerPolicy::Wolt),
+    )
+    .expect("fleet bind");
     let addr = fleet.local_addr().expect("bound address");
 
     let ghost = {
@@ -436,7 +439,12 @@ fn fleet_ops_drive_a_live_fleet() {
             stop_after: None,
         },
     ];
-    let fleet = Fleet::bind("127.0.0.1:0", defs, FleetConfig::default()).expect("fleet bind");
+    let fleet = Fleet::bind(
+        "127.0.0.1:0",
+        defs,
+        DaemonConfig::new(ControllerPolicy::Wolt),
+    )
+    .expect("fleet bind");
     let addr = fleet.local_addr().expect("bound address");
     let fleet = thread::spawn(move || fleet.run());
 
