@@ -45,7 +45,7 @@ use wolt_support::obs;
 use wolt_support::rng::{ChaCha8Rng, SeedableRng};
 use wolt_testbed::protocol::ToController;
 use wolt_testbed::{
-    coalesce_frames, run_faulty_session, ControllerConfig, ControllerCore, ControllerPolicy,
+    coalesce_frames, run_faulty_session, Agent, ControllerConfig, ControllerCore, ControllerPolicy,
     FaultPlan, ReportFrame, RigConfig, SessionEvent,
 };
 
@@ -384,7 +384,6 @@ fn coalescing_probe(users: usize) -> CoalescingProbe {
     const FRAMES: usize = 160;
     const BATCH: usize = 8;
     let scenario = probe_scenario(users, SCENARIO_SEED + 3);
-    let n_ext = scenario.extender_positions.len();
     let config = || ControllerConfig {
         policy: ControllerPolicy::Wolt,
         estimated_capacities: scenario.capacities.clone(),
@@ -393,16 +392,16 @@ fn coalescing_probe(users: usize) -> CoalescingProbe {
     let frames: Vec<ReportFrame> = (0..FRAMES)
         .map(|i| {
             let client = (i / 2) % users;
-            let rates: Vec<_> = (0..n_ext).map(|j| scenario.rate(client, j)).collect();
-            let attached = (0..n_ext)
-                .max_by(|&a, &b| {
-                    let r = |j: usize| rates[j].map_or(f64::NEG_INFINITY, f64::from);
-                    r(a).total_cmp(&r(b))
-                })
-                .expect("scenario has extenders");
+            let epoch = (i + 1) as u64;
+            let ToController::Report {
+                rates, attached, ..
+            } = Agent::from_scenario(&scenario, client).on_join(epoch)
+            else {
+                unreachable!("a join answers with a scan report");
+            };
             ReportFrame {
                 client,
-                epoch: (i + 1) as u64,
+                epoch,
                 rates,
                 attached,
             }

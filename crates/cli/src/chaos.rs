@@ -20,14 +20,13 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use wolt_daemon::{crash_catalogue, run_agent_with, AgentRetry};
+use wolt_daemon::{crash_catalogue, run_agent_burst, AgentRetry};
 use wolt_sim::Scenario;
 use wolt_support::crash::{CrashPlan, CRASH_ENV};
 use wolt_support::json::{Json, ToJson};
 use wolt_testbed::ControllerPolicy;
 
 use crate::commands::PresetChoice;
-use crate::service::scenario_for;
 use crate::CliError;
 
 /// How long the supervisor waits for a child daemon to publish its
@@ -80,7 +79,7 @@ struct PointResult {
 /// filesystem failures.
 pub fn chaos(opts: &ChaosOptions) -> Result<String, CliError> {
     let exe = std::env::current_exe()?;
-    let scenario = Arc::new(scenario_for(opts.preset, opts.users, opts.seed)?);
+    let scenario = Arc::new(opts.preset.scenario(opts.users, opts.seed)?);
     let catalogue = crash_catalogue();
     let sweep: Vec<(&str, u64)> = match &opts.point {
         Some(name) => {
@@ -254,7 +253,15 @@ fn run_to_completion(
                 let scenario = Arc::clone(scenario);
                 let retry = retry.clone();
                 std::thread::spawn(move || {
-                    run_agent_with(addr.as_str(), &scenario, client, "chaos-agent", &retry)
+                    run_agent_burst(
+                        addr.as_str(),
+                        &scenario,
+                        None,
+                        client,
+                        "chaos-agent",
+                        &retry,
+                        1,
+                    )
                 })
             })
             .collect();

@@ -2,7 +2,6 @@
 
 use wolt_core::baselines::{Greedy, Optimal, Random, Rssi, SelfishGreedy};
 use wolt_core::{evaluate, AssociationPolicy, Wolt};
-use wolt_sim::scenario::ScenarioConfig;
 use wolt_sim::Scenario;
 use wolt_support::json::{FromJson, Json, JsonError, ToJson};
 
@@ -248,6 +247,18 @@ impl PresetChoice {
             Self::Lab => "lab",
         }
     }
+
+    /// Regenerates this preset's scenario from `(users, seed)` through
+    /// the recipe every daemon site uses
+    /// ([`wolt_daemon::spec::preset_scenario`]).
+    ///
+    /// # Errors
+    ///
+    /// [`CliError::Library`] when the generator rejects the input.
+    pub fn scenario(self, users: usize, seed: u64) -> Result<Scenario, CliError> {
+        wolt_daemon::spec::preset_scenario(self.name(), users, seed)
+            .map_err(|message| CliError::Library { message })
+    }
 }
 
 /// Samples a network spec from a scenario preset.
@@ -256,14 +267,7 @@ impl PresetChoice {
 ///
 /// Propagates scenario-generation failures.
 pub fn generate(preset: PresetChoice, users: usize, seed: u64) -> Result<NetworkSpec, CliError> {
-    use wolt_support::rng::SeedableRng;
-    let config = match preset {
-        PresetChoice::Enterprise => ScenarioConfig::enterprise(users),
-        PresetChoice::Lab => ScenarioConfig::lab(users),
-    };
-    let mut rng = wolt_support::rng::ChaCha8Rng::seed_from_u64(seed);
-    let scenario = Scenario::generate(&config, &mut rng)?;
-    Ok(NetworkSpec::from_scenario(&scenario))
+    Ok(NetworkSpec::from_scenario(&preset.scenario(users, seed)?))
 }
 
 #[cfg(test)]

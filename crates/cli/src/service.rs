@@ -10,49 +10,27 @@ use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use wolt_daemon::spec;
 use wolt_daemon::wire::FleetOp;
 use wolt_daemon::{
     run_agent_burst, wire, AgentRetry, Daemon, DaemonConfig, Envelope, Fleet, FleetSpec,
 };
-use wolt_sim::scenario::ScenarioConfig;
-use wolt_sim::Scenario;
 use wolt_support::json::{Json, ToJson};
 use wolt_support::obs;
-use wolt_support::rng::{ChaCha8Rng, SeedableRng};
 use wolt_testbed::{ControllerPolicy, SessionEvent};
 
 use crate::commands::PresetChoice;
 use crate::CliError;
 
 /// Parses a controller policy name for the session daemon (`serve`
-/// drives one of the three online controllers, not the offline solvers).
+/// drives one of the three online controllers, not the offline solvers)
+/// with the parser daemon sites use ([`spec::parse_policy`]).
 ///
 /// # Errors
 ///
 /// Returns [`CliError::Usage`] listing the accepted names.
 pub fn parse_controller_policy(name: &str) -> Result<ControllerPolicy, CliError> {
-    match name.to_ascii_lowercase().as_str() {
-        "wolt" => Ok(ControllerPolicy::Wolt),
-        "greedy" => Ok(ControllerPolicy::Greedy),
-        "rssi" => Ok(ControllerPolicy::Rssi),
-        other => Err(CliError::Usage {
-            message: format!("unknown controller policy {other:?} (try wolt | greedy | rssi)"),
-        }),
-    }
-}
-
-/// Regenerates the scenario both `serve` and `agent` run against.
-///
-/// # Errors
-///
-/// Propagates scenario-generation failures as [`CliError::Library`].
-pub fn scenario_for(preset: PresetChoice, users: usize, seed: u64) -> Result<Scenario, CliError> {
-    let config = match preset {
-        PresetChoice::Enterprise => ScenarioConfig::enterprise(users),
-        PresetChoice::Lab => ScenarioConfig::lab(users),
-    };
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    Ok(Scenario::generate(&config, &mut rng)?)
+    spec::parse_policy(name).map_err(|message| CliError::Usage { message })
 }
 
 /// Everything `wolt serve` needs, parsed off the command line.
@@ -94,7 +72,7 @@ pub struct ServeOptions {
 /// already taken) or the session fails on the wire; [`CliError::Io`] for
 /// snapshot/addr-file filesystem failures.
 pub fn serve(opts: &ServeOptions) -> Result<String, CliError> {
-    let scenario = scenario_for(opts.preset, opts.users, opts.seed)?;
+    let scenario = opts.preset.scenario(opts.users, opts.seed)?;
     let events: Vec<SessionEvent> = (0..opts.users).map(SessionEvent::Join).collect();
     let mut config = DaemonConfig::new(opts.policy);
     config.noise_seed = opts.noise_seed;
@@ -311,7 +289,7 @@ pub fn agent(
     site: Option<&str>,
     burst: u32,
 ) -> Result<String, CliError> {
-    let scenario = scenario_for(preset, users, seed)?;
+    let scenario = preset.scenario(users, seed)?;
     let outcome = run_agent_burst(
         addr,
         &scenario,

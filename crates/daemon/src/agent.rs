@@ -1,11 +1,10 @@
 //! The agent client: one laptop's user-space utility, speaking the
 //! daemon's wire protocol over TCP.
 //!
-//! This is the networked twin of the rig's in-process `client_agent`
-//! thread, minus the fault layer: scan on join (strongest signal =
-//! highest achievable rate, ties toward the lowest extender index),
-//! report rates to the controller, apply directives newest-sequence-wins
-//! and ack every received transmission. A reconnecting agent adopts the
+//! What the laptop does — scan on join, report rates to the controller,
+//! apply directives newest-sequence-wins and ack every received
+//! transmission — is the shared sans-I/O [`wolt_testbed::Agent`]; this
+//! module carries it over the wire. A reconnecting agent adopts the
 //! attachment the daemon hands back in the handshake — the radio stayed
 //! associated while the controller was down.
 //!
@@ -24,8 +23,8 @@ use std::time::Duration;
 use wolt_sim::Scenario;
 use wolt_support::obs;
 use wolt_support::rng::{RngCore as _, SplitMix64};
-use wolt_testbed::protocol::{ToAgent, ToClient, ToController};
-use wolt_units::Mbps;
+use wolt_testbed::protocol::{ToAgent, ToClient};
+use wolt_testbed::Agent;
 
 use crate::wire::{self, Envelope};
 use crate::DaemonError;
@@ -144,34 +143,36 @@ pub struct AgentOutcome {
     pub directives_applied: usize,
 }
 
-/// Runs one agent to completion with the default reconnect policy: see
-/// [`run_agent_with`].
+/// Runs one agent to completion with the default reconnect policy, one
+/// report per join and a site-less hello: see [`run_agent_burst`].
 ///
 /// # Errors
 ///
-/// As [`run_agent_with`].
+/// As [`run_agent_burst`].
 pub fn run_agent(
     addr: impl ToSocketAddrs,
     scenario: &Scenario,
     client: usize,
     name: &str,
 ) -> Result<AgentOutcome, DaemonError> {
-    run_agent_with(addr, scenario, client, name, &AgentRetry::default())
+    run_agent_burst(
+        addr,
+        scenario,
+        None,
+        client,
+        name,
+        &AgentRetry::default(),
+        1,
+    )
 }
 
-/// Runs one agent against a *fleet*: identical to [`run_agent_with`],
-/// but the hello names `site`, so a multi-site daemon can route the
-/// connection to the segment that owns this client. A site-less hello
-/// ([`run_agent`]/[`run_agent_with`]) and a single-site daemon remain
-/// byte-compatible with each other; use this entry point only when the
-/// server is a fleet.
+/// Runs one agent against a *fleet*: [`run_agent_burst`] with one report
+/// per join and a hello naming `site`, so a multi-site daemon can route
+/// the connection to the segment that owns this client.
 ///
 /// # Errors
 ///
-/// As [`run_agent_with`], plus [`DaemonError::SiteGone`] when the fleet
-/// does not host (or no longer hosts) `site` — fatal, not retried,
-/// because a drained or removed site never comes back under the same
-/// address.
+/// As [`run_agent_burst`].
 pub fn run_site_agent(
     addr: impl ToSocketAddrs,
     scenario: &Scenario,
@@ -180,7 +181,7 @@ pub fn run_site_agent(
     name: &str,
     retry: &AgentRetry,
 ) -> Result<AgentOutcome, DaemonError> {
-    run_agent_sited(addr, scenario, Some(site), client, name, retry, 1)
+    run_agent_burst(addr, scenario, Some(site), client, name, retry, 1)
 }
 
 /// Runs one agent to completion: connect (with `retry`'s bounded
@@ -192,35 +193,22 @@ pub fn run_site_agent(
 ///
 /// `client` is this agent's index in `scenario`; the scenario must be
 /// the same one the daemon runs (both sides regenerate it from the same
-/// seed), since the agent's scan rates come from it.
+/// seed), since the agent's scan rates come from it. A hello naming
+/// `site` lets a fleet route the connection; a site-less hello and a
+/// single-site daemon remain byte-compatible with each other. Each join
+/// is answered with a *burst* of `burst` identical scan reports — a
+/// load-shape knob for exercising the daemon's telemetry-coalescing
+/// path, protocol-safe at any size (the controller dedups repeated
+/// reports by epoch); `burst <= 1` sends one.
 ///
 /// # Errors
 ///
 /// [`DaemonError::GaveUp`] when a reconnect round exhausts
 /// `retry.attempts`; [`DaemonError::InvalidConfig`] for an out-of-range
 /// client index; [`DaemonError::Protocol`] when the daemon violates the
-/// handshake.
-pub fn run_agent_with(
-    addr: impl ToSocketAddrs,
-    scenario: &Scenario,
-    client: usize,
-    name: &str,
-    retry: &AgentRetry,
-) -> Result<AgentOutcome, DaemonError> {
-    run_agent_sited(addr, scenario, None, client, name, retry, 1)
-}
-
-/// Runs one agent that answers every join with a *burst* of `burst`
-/// identical scan reports instead of one — a load-shape knob for
-/// exercising the daemon's telemetry-coalescing path. Protocol-safe at
-/// any burst size (the controller dedups repeated reports by epoch);
-/// `burst <= 1` is byte-identical to [`run_agent_with`] /
-/// [`run_site_agent`].
-///
-/// # Errors
-///
-/// As [`run_agent_with`] (and, when `site` is set,
-/// [`run_site_agent`]).
+/// handshake; [`DaemonError::SiteGone`] when the fleet does not host (or
+/// no longer hosts) `site` — fatal, not retried, because a drained or
+/// removed site never comes back under the same address.
 pub fn run_agent_burst(
     addr: impl ToSocketAddrs,
     scenario: &Scenario,
@@ -230,29 +218,13 @@ pub fn run_agent_burst(
     retry: &AgentRetry,
     burst: u32,
 ) -> Result<AgentOutcome, DaemonError> {
-    run_agent_sited(addr, scenario, site, client, name, retry, burst)
-}
-
-/// The shared agent loop behind [`run_agent_with`] (site-less),
-/// [`run_site_agent`] (sited), and [`run_agent_burst`] (bursty).
-fn run_agent_sited(
-    addr: impl ToSocketAddrs,
-    scenario: &Scenario,
-    site: Option<&str>,
-    client: usize,
-    name: &str,
-    retry: &AgentRetry,
-    burst: u32,
-) -> Result<AgentOutcome, DaemonError> {
     let n_users = scenario.user_positions.len();
-    let n_ext = scenario.extender_positions.len();
     if client >= n_users {
         return Err(DaemonError::InvalidConfig {
             context: format!("client {client} out of range for {n_users} users"),
         });
     }
-    let rates: Vec<Option<Mbps>> = (0..n_ext).map(|j| scenario.rate(client, j)).collect();
-    let mut directives_applied = 0usize;
+    let mut agent = Agent::from_scenario(scenario, client);
     loop {
         // Connect round: a fresh budget each time the agent has to go
         // back to dialing, so a controller that keeps crashing (and
@@ -283,15 +255,14 @@ fn run_agent_sited(
                 last_error,
             });
         };
-        match serve(
-            &mut stream,
-            client,
-            attached,
-            &rates,
-            &mut directives_applied,
-            burst,
-        )? {
-            ServeEnd::Dismissed(outcome) => return Ok(outcome),
+        agent.adopt(attached);
+        match serve(&mut stream, &mut agent, burst)? {
+            ServeEnd::Dismissed => {
+                return Ok(AgentOutcome {
+                    attached: agent.attached(),
+                    directives_applied: agent.directives_applied(),
+                })
+            }
             // The daemon vanished mid-session (crash, restart,
             // read-deadline kill): dial again.
             ServeEnd::Lost => {}
@@ -302,7 +273,7 @@ fn run_agent_sited(
 /// How one served connection ended.
 enum ServeEnd {
     /// The daemon said shutdown: the agent is done.
-    Dismissed(AgentOutcome),
+    Dismissed,
     /// The connection died without a dismissal: reconnect.
     Lost,
 }
@@ -316,26 +287,15 @@ fn recv_failure_is_lost(e: &io::Error) -> bool {
 }
 
 /// Serves one connection until the daemon dismisses the agent or the
-/// connection is lost.
+/// connection is lost: each harness command and directive goes to
+/// `agent`, and its reply onto the wire (a join's report `burst` times).
 ///
 /// # Errors
 ///
 /// [`DaemonError::Protocol`] when the peer sends a well-formed frame an
 /// agent must never see — lost connections are a [`ServeEnd`], not an
 /// error.
-fn serve(
-    stream: &mut TcpStream,
-    client: usize,
-    mut attached: Option<usize>,
-    rates: &[Option<Mbps>],
-    directives_applied: &mut usize,
-    burst: u32,
-) -> Result<ServeEnd, DaemonError> {
-    // A restored attachment means this client was mid-session when the
-    // controller died: the radio is still associated.
-    let mut joined = attached.is_some();
-    let mut last_applied: Option<u64> = None;
-
+fn serve(stream: &mut TcpStream, agent: &mut Agent, burst: u32) -> Result<ServeEnd, DaemonError> {
     // Serve until the daemon says shutdown or the connection ends.
     loop {
         let envelope = match wire::recv(stream) {
@@ -349,90 +309,20 @@ fn serve(
                 })
             }
         };
-        let sent = match envelope {
-            Envelope::Agent(ToAgent::Join { epoch, attempt: _ }) => {
-                if !joined {
-                    // Scan: strongest signal = highest achievable rate
-                    // (monotone table); ties break toward the lowest
-                    // extender index, matching the offline RSSI baseline.
-                    let mut best = 0usize;
-                    let mut best_rate = f64::NEG_INFINITY;
-                    for (j, r) in rates.iter().enumerate() {
-                        if let Some(m) = r {
-                            if m.value() > best_rate {
-                                best_rate = m.value();
-                                best = j;
-                            }
-                        }
-                    }
-                    attached = Some(best);
-                    joined = true;
-                    last_applied = None;
-                }
-                // Retransmitted joins re-send the report without
-                // re-scanning, so an applied directive is never
-                // clobbered. A bursty agent repeats the same report:
-                // the extras are redundant by construction (same epoch),
-                // which is exactly what coalescing should absorb.
-                let report = Envelope::Ctrl(ToController::Report {
-                    client,
-                    epoch,
-                    rates: rates.to_vec(),
-                    attached: attached.expect("joined agent is attached"),
-                });
-                let mut sent = wire::send(stream, &report);
-                for _ in 1..burst.max(1) {
-                    if sent.is_err() {
-                        break;
-                    }
-                    sent = wire::send(stream, &report);
-                }
-                sent
-            }
-            Envelope::Agent(ToAgent::Leave { epoch, attempt: _ }) => {
-                if joined {
-                    joined = false;
-                    attached = None;
-                }
-                // Always (re-)notify: the CC dedups by epoch.
-                wire::send(
-                    stream,
-                    &Envelope::Ctrl(ToController::Departed { client, epoch }),
-                )
-            }
+        let (reply, copies) = match envelope {
+            // A bursty agent repeats the same report: the extras are
+            // redundant by construction (same epoch), which is exactly
+            // what coalescing should absorb.
+            Envelope::Agent(ToAgent::Join { epoch, .. }) => (agent.on_join(epoch), burst.max(1)),
+            Envelope::Agent(ToAgent::Leave { epoch, .. }) => (agent.on_leave(epoch), 1),
             Envelope::Agent(ToAgent::Shutdown)
             | Envelope::Client(ToClient::Shutdown)
-            | Envelope::Shutdown { .. } => {
-                return Ok(ServeEnd::Dismissed(AgentOutcome {
-                    attached,
-                    directives_applied: *directives_applied,
-                }))
-            }
-            Envelope::Client(ToClient::Directive {
-                extender,
-                seq,
-                attempt: _,
-            }) => {
-                // A directive can race a departure at shutdown; only a
-                // joined client applies it.
-                if !joined {
-                    continue;
+            | Envelope::Shutdown { .. } => return Ok(ServeEnd::Dismissed),
+            Envelope::Client(ToClient::Directive { extender, seq, .. }) => {
+                match agent.on_directive(extender, seq) {
+                    Some(ack) => (ack, 1),
+                    None => continue,
                 }
-                if last_applied.is_none_or(|s| seq > s) {
-                    attached = Some(extender);
-                    last_applied = Some(seq);
-                    *directives_applied += 1;
-                }
-                // Ack every received transmission (idempotent at the
-                // CC); report the *current* attachment.
-                wire::send(
-                    stream,
-                    &Envelope::Ctrl(ToController::Ack {
-                        client,
-                        seq,
-                        extender: attached.expect("joined agent is attached"),
-                    }),
-                )
             }
             other => {
                 return Err(DaemonError::Protocol {
@@ -440,8 +330,11 @@ fn serve(
                 })
             }
         };
-        if sent.is_err() {
-            return Ok(ServeEnd::Lost);
+        let reply = Envelope::Ctrl(reply);
+        for _ in 0..copies {
+            if wire::send(stream, &reply).is_err() {
+                return Ok(ServeEnd::Lost);
+            }
         }
     }
 }

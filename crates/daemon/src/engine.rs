@@ -5,7 +5,7 @@
 //!
 //! The engine owns everything the session loop used to own inline: the
 //! [`ControllerCore`], the agent writers, the bounded inbox receiver,
-//! the ledger (present/unresponsive/initial-attach), and the per-epoch
+//! the [`Harness`] (event cursor and ledger), and the per-epoch
 //! snapshot schedule. What it does *not* own is the accept path: reader
 //! tasks are fed by whoever accepts connections, through the
 //! [`Incoming`] sender returned by [`SessionEngine::new`].
@@ -20,9 +20,10 @@
 //! structural, not coincidental: the single-site daemon *is* a one-site
 //! fleet.
 //!
-//! The directive retransmit loop is the shared sans-I/O
-//! [`wolt_testbed::Transaction`]; the engine only writes its
-//! transmissions to sockets and handles what else the inbox delivers.
+//! The join/leave retransmit loop is the shared sans-I/O [`Harness`] and
+//! the directive retransmit loop the shared [`Transaction`]; the engine
+//! only writes their commands and transmissions to sockets and handles
+//! what else the inbox delivers.
 //! Every protocol message is checked against the site's dimensions
 //! before it reaches the core: a frame that would index out of range or
 //! poison planning with a non-finite rate is dropped and counted in
@@ -38,13 +39,12 @@ use std::time::{Duration, Instant};
 
 use wolt_sim::Scenario;
 use wolt_support::pool::TaskPool;
-use wolt_support::rng::{ChaCha8Rng, SeedableRng};
 use wolt_support::{crash_point, obs};
 use wolt_testbed::codec::ReadPatience;
 use wolt_testbed::protocol::{ToAgent, ToClient, ToController};
 use wolt_testbed::{
-    assemble_report, coalesce_frames, ControllerConfig, ControllerCore, Deadlines, Directive,
-    ReportFrame, SessionEvent, SessionLedger, TestbedError, Transaction, Transmission,
+    assemble_report, coalesce_frames, prepare_session, ControllerConfig, ControllerCore, Directive,
+    Harness, HarnessEvent, HarnessState, ReportFrame, TestbedError, Transaction, Transmission,
 };
 use wolt_units::Mbps;
 
@@ -151,6 +151,16 @@ pub enum Incoming {
     },
 }
 
+/// What one inbox receive leaves for the session loop.
+enum Input {
+    /// A run of two or more scan reports (coalescing on).
+    Reports(Vec<ReportFrame>),
+    /// One protocol message.
+    Msg(ToController),
+    /// An operator stop request.
+    Stop(String),
+}
+
 /// How one driven event ended.
 enum EventEnd {
     Completed,
@@ -175,9 +185,8 @@ enum Phase {
     /// Collecting agent registrations until every client has a writer.
     /// The connect deadline arms on the first step.
     Waiting { deadline: Option<Instant> },
-    /// Driving session events. `entry_checked` guards the one-time
-    /// stop-after-already-reached check a restored engine needs.
-    Driving { entry_checked: bool },
+    /// Driving session events.
+    Driving,
     /// All events driven (or the run was stopped).
     Done { stopped: bool },
 }
@@ -188,22 +197,29 @@ enum Phase {
 /// reap_strays… → finish`.
 pub struct SessionEngine {
     scenario: Scenario,
-    events: Vec<SessionEvent>,
     config: DaemonConfig,
     store: Option<SnapshotStore>,
-    session: Session,
+    core: ControllerCore,
+    writers: Vec<Option<TcpStream>>,
+    rx: Inbox<Incoming>,
     greeting: Arc<Vec<Option<usize>>>,
-    epochs_done: usize,
-    present: Vec<bool>,
-    unresponsive: Vec<bool>,
-    initial_attach: Vec<Option<usize>>,
+    /// The event cursor and the ledger (presence, unresponsiveness,
+    /// initial attachments, harness retries).
+    harness: Harness,
     phase: Phase,
+    /// Directive retransmissions since this engine started.
+    retries: usize,
+    msgs_in: usize,
+    latencies: Vec<Duration>,
+    stop_reason: Option<String>,
     drive_elapsed: Duration,
     teardown_started: Option<Instant>,
     /// Per-site deterministic counters (`None` for the site-less
-    /// single-site daemon).
+    /// single-site daemon); `ctr_coalesced` is the per-site twin of
+    /// `daemon.frames_coalesced`.
     ctr_epochs: Option<obs::Counter>,
     ctr_solved: Option<obs::Counter>,
+    ctr_coalesced: Option<obs::Counter>,
 }
 
 impl SessionEngine {
@@ -236,40 +252,19 @@ impl SessionEngine {
             events,
             ..
         } = def;
-        if scenario.user_positions.is_empty() || scenario.extender_positions.is_empty() {
-            return Err(DaemonError::InvalidConfig {
-                context: "scenario needs at least one user and one extender".into(),
-            });
-        }
-        if config.deadlines.event_attempts == 0 || config.deadlines.ack_attempts == 0 {
-            return Err(DaemonError::InvalidConfig {
-                context: "deadlines need at least one attempt per message".into(),
-            });
-        }
-        let n_users = scenario.user_positions.len();
-
-        // Offline capacity estimation — identical to the rig's.
-        let mut rng = ChaCha8Rng::seed_from_u64(config.noise_seed);
-        let estimated: Vec<Mbps> = scenario
-            .capacities
-            .iter()
-            .map(|&c| config.estimator.estimate(c, &mut rng))
-            .collect::<Result<_, _>>()
-            .map_err(|e| {
-                DaemonError::from(TestbedError::Layer {
-                    context: format!("capacity estimation: {e}"),
-                })
-            })?;
         let core_config = ControllerConfig {
             policy: config.policy,
-            estimated_capacities: estimated,
+            estimated_capacities: prepare_site(&scenario, &config)?,
             strict: false,
         };
+        let n_users = scenario.user_positions.len();
+        let n_extenders = scenario.extender_positions.len();
 
         // Cold start or snapshot restore. The store falls back over torn
         // or corrupt generations by itself; only an unrecoverable store
         // (every generation damaged, or stamped for another site)
-        // errors out.
+        // errors out, as does a snapshot whose shape does not fit this
+        // site.
         let store = match &config.snapshot_dir {
             Some(dir) => Some(SnapshotStore::open_site(dir, config.snapshot_keep, &site)?),
             None => None,
@@ -278,80 +273,58 @@ impl SessionEngine {
             Some(store) => store.load()?.map(|(_generation, snap)| snap),
             None => None,
         };
-        let (core, epochs_done, present, unresponsive, initial_attach, retries) = match restored {
+        let (core, state) = match restored {
             Some(snap) => {
-                if snap.present.len() != n_users {
+                if !snap.fits_site(n_users, n_extenders) {
                     return Err(DaemonError::Protocol {
-                        context: "snapshot is for a different scenario size".into(),
+                        context: format!(
+                            "snapshot does not fit this site \
+                             ({n_users} users, {n_extenders} extenders)"
+                        ),
                     });
                 }
-                let core = ControllerCore::restore(core_config, snap.core)?;
-                (
-                    core,
-                    snap.epochs_done,
-                    snap.present,
-                    snap.unresponsive,
-                    snap.initial_attach,
-                    snap.retries,
-                )
+                let state = HarnessState {
+                    epochs_done: snap.epochs_done,
+                    present: snap.present,
+                    unresponsive: snap.unresponsive,
+                    initial_attach: snap.initial_attach,
+                    retries: snap.retries,
+                };
+                (ControllerCore::restore(core_config, snap.core)?, state)
             }
             None => (
                 ControllerCore::new(n_users, core_config),
-                0,
-                vec![false; n_users],
-                vec![false; n_users],
-                vec![None; n_users],
-                0,
+                HarnessState::new(n_users),
             ),
         };
+        let harness = Harness::new(events, config.deadlines.event_attempts, state);
 
         // What reconnecting agents are told in the handshake: the saved
         // association at startup (always `None` on a cold start).
         let greeting: Arc<Vec<Option<usize>>> = Arc::new(core.association().to_vec());
 
         let (tx, rx) = inbox::channel::<Incoming>(config.inbox_cap, incoming_sheddable);
-        let session = Session {
-            core,
-            n_extenders: scenario.extender_positions.len(),
-            deadlines: config.deadlines,
-            writers: (0..n_users).map(|_| None).collect(),
-            rx,
-            retries,
-            msgs_in: 0,
-            latencies: Vec::new(),
-            stop_reason: None,
-            coalesce: config.coalesce,
-            ctr_coalesced: if site.is_empty() {
-                None
-            } else {
-                Some(obs::site_counter(&site, "frames_coalesced"))
-            },
-        };
-        let (ctr_epochs, ctr_solved) = if site.is_empty() {
-            (None, None)
-        } else {
-            (
-                Some(obs::site_counter(&site, "epochs")),
-                Some(obs::site_counter(&site, "solved")),
-            )
-        };
+        let site_counter = |name| (!site.is_empty()).then(|| obs::site_counter(&site, name));
         Ok((
             Self {
                 scenario,
-                events,
                 config,
                 store,
-                session,
+                core,
+                writers: (0..n_users).map(|_| None).collect(),
+                rx,
                 greeting,
-                epochs_done,
-                present,
-                unresponsive,
-                initial_attach,
+                harness,
                 phase: Phase::Waiting { deadline: None },
+                retries: 0,
+                msgs_in: 0,
+                latencies: Vec::new(),
+                stop_reason: None,
                 drive_elapsed: Duration::ZERO,
                 teardown_started: None,
-                ctr_epochs,
-                ctr_solved,
+                ctr_epochs: site_counter("epochs"),
+                ctr_solved: site_counter("solved"),
+                ctr_coalesced: site_counter("frames_coalesced"),
             },
             tx,
         ))
@@ -365,12 +338,12 @@ impl SessionEngine {
 
     /// Events completed so far (including restored ones).
     pub fn epochs_done(&self) -> usize {
-        self.epochs_done
+        self.harness.state().epochs_done
     }
 
     /// Events configured in total.
     pub fn n_events(&self) -> usize {
-        self.events.len()
+        self.harness.n_events()
     }
 
     /// Runs one bounded unit of work: a short connect-wait poll while
@@ -388,9 +361,9 @@ impl SessionEngine {
     pub fn step(&mut self) -> Result<EngineStep, DaemonError> {
         match self.phase {
             Phase::Waiting { deadline } => self.step_wait(deadline),
-            Phase::Driving { entry_checked } => {
+            Phase::Driving => {
                 let t0 = Instant::now();
-                let result = self.step_drive(entry_checked);
+                let result = self.step_drive();
                 self.drive_elapsed += t0.elapsed();
                 result
             }
@@ -405,27 +378,23 @@ impl SessionEngine {
         self.phase = Phase::Waiting {
             deadline: Some(deadline),
         };
-        if !self.session.writers.iter().any(Option::is_none) {
-            self.phase = Phase::Driving {
-                entry_checked: false,
-            };
+        if !self.writers.iter().any(Option::is_none) {
+            self.start_driving();
             return Ok(EngineStep::Progressed);
         }
         let wait = deadline
             .saturating_duration_since(Instant::now())
             .min(WAIT_TICK);
-        match self.session.rx.recv_timeout(wait) {
+        match self.rx.recv_timeout(wait) {
             Ok(Incoming::Register { client, writer }) => {
-                self.session.writers[client] = Some(writer);
-                if !self.session.writers.iter().any(Option::is_none) {
-                    self.phase = Phase::Driving {
-                        entry_checked: false,
-                    };
+                self.writers[client] = Some(writer);
+                if !self.writers.iter().any(Option::is_none) {
+                    self.start_driving();
                 }
                 Ok(EngineStep::Progressed)
             }
             Ok(Incoming::Gone { client }) => {
-                self.session.writers[client] = None;
+                self.writers[client] = None;
                 Ok(EngineStep::Waiting)
             }
             Ok(Incoming::Stop { reason }) => {
@@ -433,22 +402,19 @@ impl SessionEngine {
                 // (that is how a fleet drains a site whose agents are
                 // yet to connect): proceed to the driving phase, whose
                 // first event observes the stop reason and ends the run.
-                self.session.stop_reason = Some(reason);
-                self.phase = Phase::Driving {
-                    entry_checked: false,
-                };
+                self.stop_reason = Some(reason);
+                self.start_driving();
                 Ok(EngineStep::Progressed)
             }
             Ok(Incoming::Msg(_)) => {
                 // Agents do not speak before their first command; drop
                 // pre-session noise.
-                self.session.msgs_in += 1;
+                self.msgs_in += 1;
                 Ok(EngineStep::Waiting)
             }
             Err(RecvTimeoutError::Timeout) => {
                 if Instant::now() >= deadline {
                     let missing: Vec<usize> = self
-                        .session
                         .writers
                         .iter()
                         .enumerate()
@@ -467,125 +433,83 @@ impl SessionEngine {
         }
     }
 
+    /// Leaves the connect wait: drive events, unless a restored engine
+    /// already reached `stop_after`.
+    fn start_driving(&mut self) {
+        self.phase = if self
+            .config
+            .stop_after
+            .is_some_and(|k| self.harness.state().epochs_done >= k)
+        {
+            Phase::Done { stopped: true }
+        } else {
+            Phase::Driving
+        };
+    }
+
     /// Drives one session event (skipping over events for unresponsive
     /// clients), snapshots, and checks the stop conditions — one
     /// iteration of the pre-refactor `drive` loop.
-    fn step_drive(&mut self, entry_checked: bool) -> Result<EngineStep, DaemonError> {
-        if !entry_checked {
-            self.phase = Phase::Driving {
-                entry_checked: true,
-            };
-            if self
-                .config
-                .stop_after
-                .is_some_and(|k| self.epochs_done >= k)
-            {
+    fn step_drive(&mut self) -> Result<EngineStep, DaemonError> {
+        let skipped_from = self.harness.state().epochs_done;
+        let next = self.harness.next_event();
+        self.count_epochs(skipped_from);
+        let Some(event) = next? else {
+            self.phase = Phase::Done { stopped: false };
+            return Ok(EngineStep::Finished);
+        };
+        match self.drive_event(event)? {
+            EventEnd::Completed => {
+                if let Some(c) = &self.ctr_solved {
+                    c.inc();
+                }
+                // Strict-equivalent to the rig's read of the physical
+                // state: on a fault-free network the CC view after the
+                // event's transaction *is* the physical attachment.
+                self.harness.complete(self.core.association()[event.client]);
+            }
+            EventEnd::Unresponsive => self.harness.abandon(),
+            EventEnd::Stopped => {
                 self.phase = Phase::Done { stopped: true };
                 return Ok(EngineStep::Finished);
             }
         }
-        loop {
-            let idx = self.epochs_done;
-            let Some(&event) = self.events.get(idx) else {
-                self.phase = Phase::Done { stopped: false };
-                return Ok(EngineStep::Finished);
-            };
-            let epoch = idx as u64;
-            let (i, is_join) = match event {
-                SessionEvent::Join(i) => (i, true),
-                SessionEvent::Leave(i) => (i, false),
-            };
-            let n_users = self.scenario.user_positions.len();
-            if i < n_users && self.unresponsive[i] {
-                // A client whose earlier event never completed is out of
-                // the session: later events for it are skipped.
-                self.advance_epoch(idx);
-                continue;
-            }
-            let valid = i < n_users
-                && if is_join {
-                    !self.present[i]
-                } else {
-                    self.present[i]
-                };
-            if !valid {
-                return Err(TestbedError::InvalidConfig {
-                    context: if is_join {
-                        "join of an out-of-range or already-present client"
-                    } else {
-                        "leave of an out-of-range or absent client"
-                    },
-                }
-                .into());
-            }
-
-            match self.session.drive_event(epoch, i, is_join)? {
-                EventEnd::Completed => {
-                    if let Some(c) = &self.ctr_solved {
-                        c.inc();
-                    }
-                    if is_join {
-                        self.present[i] = true;
-                        if self.initial_attach[i].is_none() {
-                            // Strict-equivalent to the rig's read of the
-                            // physical state: on a fault-free network the
-                            // CC view after the join transaction *is* the
-                            // physical attachment.
-                            self.initial_attach[i] = self.session.core.association()[i];
-                        }
-                    } else {
-                        self.present[i] = false;
-                    }
-                }
-                EventEnd::Unresponsive => {
-                    if is_join {
-                        self.unresponsive[i] = true;
-                    } else {
-                        self.present[i] = false;
-                    }
-                }
-                EventEnd::Stopped => {
-                    self.phase = Phase::Done { stopped: true };
-                    return Ok(EngineStep::Finished);
-                }
-            }
-            self.advance_epoch(idx);
-            if let Some(store) = self.store.as_mut() {
-                // A crash on either side of the save is recoverable:
-                // before it, the restarted daemon replays this event;
-                // after it, the daemon resumes at the next one. Both
-                // replays are byte-identical because the snapshot
-                // carries complete decision state and agents re-derive
-                // theirs from the handshake.
-                crash_point!(CRASH_PRE_SNAPSHOT);
-                let t0 = Instant::now();
-                store.save(&DaemonSnapshot {
-                    epochs_done: self.epochs_done,
-                    present: self.present.clone(),
-                    unresponsive: self.unresponsive.clone(),
-                    initial_attach: self.initial_attach.clone(),
-                    retries: self.session.retries,
-                    core: self.session.core.snapshot(),
-                })?;
-                obs::observe_duration("daemon.snapshot_write_us", t0.elapsed());
-                crash_point!(CRASH_POST_SNAPSHOT);
-            }
-            if self.session.stop_reason.is_some()
-                || self.config.stop_after == Some(self.epochs_done)
-            {
-                self.phase = Phase::Done { stopped: true };
-                return Ok(EngineStep::Finished);
-            }
-            return Ok(EngineStep::Progressed);
+        self.count_epochs(event.epoch as usize);
+        if let Some(store) = self.store.as_mut() {
+            // A crash on either side of the save is recoverable: before
+            // it, the restarted daemon replays this event; after it, the
+            // daemon resumes at the next one. Both replays are
+            // byte-identical because the snapshot carries complete
+            // decision state and agents re-derive theirs from the
+            // handshake.
+            crash_point!(CRASH_PRE_SNAPSHOT);
+            let t0 = Instant::now();
+            let state = self.harness.state();
+            store.save(&DaemonSnapshot {
+                epochs_done: state.epochs_done,
+                present: state.present.clone(),
+                unresponsive: state.unresponsive.clone(),
+                initial_attach: state.initial_attach.clone(),
+                retries: state.retries + self.retries,
+                core: self.core.snapshot(),
+            })?;
+            obs::observe_duration("daemon.snapshot_write_us", t0.elapsed());
+            crash_point!(CRASH_POST_SNAPSHOT);
         }
+        if self.stop_reason.is_some()
+            || self.config.stop_after == Some(self.harness.state().epochs_done)
+        {
+            self.phase = Phase::Done { stopped: true };
+            return Ok(EngineStep::Finished);
+        }
+        Ok(EngineStep::Progressed)
     }
 
-    /// Advances the epoch cursor past event `idx`, counting it in the
-    /// per-site metrics.
-    fn advance_epoch(&mut self, idx: usize) {
-        self.epochs_done = idx + 1;
+    /// Counts the events finished since the cursor stood at `from` in
+    /// the per-site metrics.
+    fn count_epochs(&self, from: usize) {
         if let Some(c) = &self.ctr_epochs {
-            c.inc();
+            c.add((self.harness.state().epochs_done - from) as u64);
         }
     }
 
@@ -597,8 +521,8 @@ impl SessionEngine {
         // Clear what is already queued first (the session will never
         // process it), so the dismissed agents' `Gone` notices find room
         // in a bounded inbox instead of shedding leftover telemetry.
-        self.session.rx.drain().into_iter().for_each(dismiss_stray);
-        self.session.shutdown_agents();
+        self.rx.drain().into_iter().for_each(dismiss_stray);
+        self.shutdown_agents();
     }
 
     /// One bounded teardown poll: agents that registered after the
@@ -607,7 +531,7 @@ impl SessionEngine {
     /// disconnected — every reader task is gone, the engine is
     /// quiescent.
     pub fn reap_strays(&mut self, wait: Duration) -> bool {
-        match self.session.rx.recv_timeout(wait) {
+        match self.rx.recv_timeout(wait) {
             Ok(msg) => {
                 dismiss_stray(msg);
                 false
@@ -633,35 +557,52 @@ impl SessionEngine {
         let teardown = self
             .teardown_started
             .map_or(Duration::ZERO, |t| t.elapsed());
-        let physical_assoc = self.session.core.association().to_vec();
+        let epochs_done = self.harness.state().epochs_done;
+        let completed = !stopped && epochs_done == self.harness.n_events();
+        let core = &self.core;
         let report = assemble_report(
             &self.scenario,
-            &physical_assoc,
-            SessionLedger {
-                policy_name: self.config.policy.name().to_string(),
-                present: self.present,
-                unresponsive: self.unresponsive,
-                initial_attach: self.initial_attach,
-                crashed: Vec::new(),
-                wedged: Vec::new(),
-                declared_dead: self.session.core.declared_dead().to_vec(),
-                directives: self.session.core.directives(),
-                degraded_solves: self.session.core.degraded_solves(),
-                retries: self.session.retries,
-            },
+            core.association(),
+            self.harness
+                .into_ledger(self.config.policy, core, self.retries),
         )?;
-        let completed = !stopped && self.epochs_done == self.events.len();
         Ok(DaemonOutcome {
             report,
             completed,
-            epochs_done: self.epochs_done,
+            epochs_done,
             stats: DaemonStats {
-                msgs_in: self.session.msgs_in,
-                resolve_latencies: self.session.latencies,
+                msgs_in: self.msgs_in,
+                resolve_latencies: self.latencies,
                 elapsed: self.drive_elapsed + teardown,
             },
         })
     }
+}
+
+/// The shared session set-up ([`prepare_session`]) for one site: its
+/// estimated PLC capacities, with a configuration the set-up rejects
+/// typed as [`DaemonError::InvalidConfig`].
+///
+/// # Errors
+///
+/// [`DaemonError::InvalidConfig`] for an empty scenario or zero retry
+/// budgets; [`DaemonError::Testbed`] when the estimation fails.
+pub(crate) fn prepare_site(
+    scenario: &Scenario,
+    config: &DaemonConfig,
+) -> Result<Vec<Mbps>, DaemonError> {
+    prepare_session(
+        scenario,
+        &config.estimator,
+        &config.deadlines,
+        config.noise_seed,
+    )
+    .map_err(|e| match e {
+        TestbedError::InvalidConfig { context } => DaemonError::InvalidConfig {
+            context: context.into(),
+        },
+        e => e.into(),
+    })
 }
 
 /// Handles one message found in the inbox during teardown: a late
@@ -906,26 +847,6 @@ pub fn spawn_acceptor(
     }))
 }
 
-/// The session loop's mutable state: the decision core plus the TCP
-/// transport bookkeeping.
-struct Session {
-    core: ControllerCore,
-    /// Extenders at this site: the bound every frame's extender indices
-    /// and rate vectors are checked against.
-    n_extenders: usize,
-    deadlines: Deadlines,
-    writers: Vec<Option<TcpStream>>,
-    rx: Inbox<Incoming>,
-    retries: usize,
-    msgs_in: usize,
-    latencies: Vec<Duration>,
-    stop_reason: Option<String>,
-    /// Drain-what's-queued telemetry coalescing (`DaemonConfig::coalesce`).
-    coalesce: bool,
-    /// Per-site twin of `daemon.frames_coalesced` (fleet engines only).
-    ctr_coalesced: Option<obs::Counter>,
-}
-
 /// Whether a protocol message fits a site of `n_users` clients and
 /// `n_extenders` extenders: every index in range, one rate per extender,
 /// and every rate finite and non-negative. The core indexes by these
@@ -954,38 +875,34 @@ fn fits_site(msg: &ToController, n_users: usize, n_extenders: usize) -> bool {
     }
 }
 
-impl Session {
-    /// Drives one join/leave event: send the command, process the
-    /// resulting report/departure through the core, run the directive
-    /// transaction, retransmitting the command on the rig's schedule.
-    fn drive_event(
-        &mut self,
-        epoch: u64,
-        client: usize,
-        is_join: bool,
-    ) -> Result<EventEnd, DaemonError> {
+impl SessionEngine {
+    /// Drives one join/leave event: carry each of the harness's
+    /// commands to the agent, process the resulting report/departure
+    /// through the core, and run the directive transaction, until the
+    /// event completes or the harness runs out of attempts.
+    fn drive_event(&mut self, event: HarnessEvent) -> Result<EventEnd, DaemonError> {
         if self.stop_reason.is_some() {
             return Ok(EventEnd::Stopped);
         }
-        for attempt in 1..=self.deadlines.event_attempts {
-            if attempt > 1 {
-                self.retries += 1;
-            }
-            let cmd = if is_join {
-                ToAgent::Join { epoch, attempt }
-            } else {
-                ToAgent::Leave { epoch, attempt }
-            };
-            if !self.send_agent(client, &cmd) {
+        let epoch = event.epoch;
+        while let Some(cmd) = self.harness.next_command() {
+            if !self.send_agent(event.client, cmd) {
                 // No connection to the client: its event can never
                 // complete. Treat like the rig's silent-agent path.
                 return Ok(EventEnd::Unresponsive);
             }
-            let deadline = Instant::now() + self.deadlines.event;
+            let deadline = Instant::now() + self.config.deadlines.event;
             loop {
                 let wait = deadline.saturating_duration_since(Instant::now());
-                let mut drained = match self.recv_run(wait) {
-                    Ok(batch) => batch,
+                let done = match self.recv_input(wait) {
+                    Ok(None) => None,
+                    // Coalesce and plan once for the whole burst.
+                    Ok(Some(Input::Reports(frames))) => self.process_report_run(frames)?,
+                    Ok(Some(Input::Msg(msg))) => self.process_event_msg(msg)?,
+                    Ok(Some(Input::Stop(reason))) => {
+                        self.stop_reason = Some(reason);
+                        return Ok(EventEnd::Stopped);
+                    }
                     Err(RecvTimeoutError::Timeout) => break,
                     Err(RecvTimeoutError::Disconnected) => {
                         return Err(TestbedError::ChannelClosed {
@@ -994,40 +911,8 @@ impl Session {
                         .into())
                     }
                 };
-                if drained.len() > 1 {
-                    // A multi-message drain is, by construction, a
-                    // consecutive run of scan reports: coalesce and plan
-                    // once for the whole burst.
-                    self.msgs_in += drained.len();
-                    if let Some(done_epoch) = self.process_report_run(drained)? {
-                        if done_epoch == epoch {
-                            return Ok(EventEnd::Completed);
-                        }
-                    }
-                    continue;
-                }
-                let Some(incoming) = drained.pop() else {
-                    continue;
-                };
-                match incoming {
-                    Incoming::Register { client: c, writer } => {
-                        self.writers[c] = Some(writer);
-                    }
-                    Incoming::Gone { client: c } => {
-                        self.writers[c] = None;
-                    }
-                    Incoming::Stop { reason } => {
-                        self.stop_reason = Some(reason);
-                        return Ok(EventEnd::Stopped);
-                    }
-                    Incoming::Msg(msg) => {
-                        self.msgs_in += 1;
-                        if let Some(done_epoch) = self.process_event_msg(msg)? {
-                            if done_epoch == epoch {
-                                return Ok(EventEnd::Completed);
-                            }
-                        }
-                    }
+                if done == Some(epoch) {
+                    return Ok(EventEnd::Completed);
                 }
             }
         }
@@ -1037,47 +922,13 @@ impl Session {
     /// Feeds one protocol message through the core; returns the epoch of
     /// a completed event transaction, if this message triggered one.
     fn process_event_msg(&mut self, msg: ToController) -> Result<Option<u64>, DaemonError> {
-        match msg {
-            ToController::Report {
-                client,
-                epoch,
-                rates,
-                attached,
-            } => {
-                if self.core.is_duplicate(epoch) {
-                    return Ok(None);
-                }
-                let t0 = Instant::now();
-                let directives = self.core.handle_report(client, epoch, &rates, attached)?;
-                self.transact(directives, epoch)?;
-                let took = t0.elapsed();
-                obs::observe_duration("daemon.resolve_us", took);
-                self.latencies.push(took);
-                Ok(Some(epoch))
-            }
-            ToController::Departed { client, epoch } => {
-                if self.core.is_duplicate(epoch) {
-                    return Ok(None);
-                }
-                let t0 = Instant::now();
-                let directives = self.core.handle_departed(client, epoch)?;
-                self.transact(directives, epoch)?;
-                let took = t0.elapsed();
-                obs::observe_duration("daemon.resolve_us", took);
-                self.latencies.push(took);
-                Ok(Some(epoch))
-            }
-            ToController::Ack {
-                client,
-                seq,
-                extender,
-            } => {
-                // A late ack refreshes the CC view iff it matches the
-                // newest directive.
-                self.core.handle_ack(client, seq, extender);
-                Ok(None)
-            }
-        }
+        let t0 = Instant::now();
+        let Some((epoch, planned)) = self.core.handle_message(msg) else {
+            return Ok(None);
+        };
+        self.transact(planned?, epoch)?;
+        self.note_resolve(t0);
+        Ok(Some(epoch))
     }
 
     /// Receives from the inbox: a consecutive run of coalescible scan
@@ -1086,21 +937,51 @@ impl Session {
     /// time-based, so a clean serialized session — where at most one
     /// report is ever queued — behaves identically either way. Messages
     /// that do not fit the site are dropped here and counted in
-    /// `daemon.frames_rejected`, so the run may come back empty.
-    fn recv_run(&self, wait: Duration) -> Result<Vec<Incoming>, RecvTimeoutError> {
-        let mut run = if self.coalesce {
+    /// `daemon.frames_rejected`; registrations and lost connections are
+    /// applied here. `None` when nothing is left for the session loop.
+    fn recv_input(&mut self, wait: Duration) -> Result<Option<Input>, RecvTimeoutError> {
+        let mut run = if self.config.coalesce {
             self.rx.recv_batch_timeout(wait, incoming_sheddable)?
         } else {
             vec![self.rx.recv_timeout(wait)?]
         };
         run.retain(|m| match m {
-            Incoming::Msg(msg) if !fits_site(msg, self.writers.len(), self.n_extenders) => {
+            Incoming::Msg(msg)
+                if !fits_site(
+                    msg,
+                    self.writers.len(),
+                    self.scenario.extender_positions.len(),
+                ) =>
+            {
                 obs::counter_inc("daemon.frames_rejected");
                 false
             }
             _ => true,
         });
-        Ok(run)
+        if run.len() > 1 {
+            // A multi-message drain is, by construction, a consecutive
+            // run of scan reports.
+            self.msgs_in += run.len();
+            return Ok(Some(Input::Reports(report_frames(run))));
+        }
+        Ok(match run.pop() {
+            Some(Incoming::Msg(msg)) => {
+                self.msgs_in += 1;
+                Some(Input::Msg(msg))
+            }
+            Some(Incoming::Stop { reason }) => Some(Input::Stop(reason)),
+            Some(Incoming::Register { client, writer }) => {
+                self.writers[client] = Some(writer);
+                None
+            }
+            Some(Incoming::Gone { client }) => {
+                // Mid-transaction, the ack deadline machinery turns a
+                // dead connection into a declared-dead client.
+                self.writers[client] = None;
+                None
+            }
+            None => None,
+        })
     }
 
     /// Counts frames dropped by coalescing, globally and per site.
@@ -1118,8 +999,8 @@ impl Session {
     /// batch: coalesce each client to its newest frame, ingest the
     /// survivors, plan once, transact once. Returns the epoch of the
     /// completed event transaction, if the batch contained one.
-    fn process_report_run(&mut self, run: Vec<Incoming>) -> Result<Option<u64>, DaemonError> {
-        let (kept, dropped) = coalesce_frames(report_frames(run));
+    fn process_report_run(&mut self, frames: Vec<ReportFrame>) -> Result<Option<u64>, DaemonError> {
+        let (kept, dropped) = coalesce_frames(frames);
         self.note_coalesced(dropped);
         let t0 = Instant::now();
         let outcome = self.core.handle_report_batch(&kept)?;
@@ -1127,17 +1008,23 @@ impl Session {
             return Ok(None);
         };
         self.transact(outcome.directives, last_epoch)?;
+        self.note_resolve(t0);
+        Ok(Some(last_epoch))
+    }
+
+    /// Records the re-solve latency of an event whose planning started
+    /// at `t0` and whose transaction just completed.
+    fn note_resolve(&mut self, t0: Instant) {
         let took = t0.elapsed();
         obs::observe_duration("daemon.resolve_us", took);
         self.latencies.push(took);
-        Ok(Some(last_epoch))
     }
 
     /// One directive transaction over TCP: the shared [`Transaction`]
     /// with socket writes for its transmissions and the merged inbox for
     /// everything it waits on.
     fn transact(&mut self, directives: Vec<Directive>, epoch: u64) -> Result<(), DaemonError> {
-        let mut txn = Transaction::open(self.deadlines, epoch, directives);
+        let mut txn = Transaction::open(self.config.deadlines, epoch, directives);
         loop {
             for t in txn.on_tick(&mut self.core, Instant::now())? {
                 self.send_directive(t);
@@ -1147,53 +1034,31 @@ impl Session {
                 return Ok(());
             };
             let wait = next.saturating_duration_since(Instant::now());
-            let mut drained = match self.recv_run(wait) {
-                Ok(batch) => batch,
-                Err(RecvTimeoutError::Timeout) => continue,
+            match self.recv_input(wait) {
+                Ok(None) | Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => {
                     return Err(TestbedError::ChannelClosed { endpoint: "client" }.into())
                 }
-            };
-            if drained.len() > 1 {
-                // A run of reports mid-transaction: retransmissions of
-                // the current (or an older) event, consumed silently as
-                // the single-message arm below does — minus the stale
-                // copies, which count as coalesced.
-                self.msgs_in += drained.len();
-                let frames = report_frames(drained);
-                for frame in &frames {
-                    txn.on_event(frame.epoch)?;
+                Ok(Some(Input::Reports(frames))) => {
+                    // A run of reports mid-transaction: retransmissions
+                    // of the current (or an older) event, consumed
+                    // silently as a single one is — minus the stale
+                    // copies, which count as coalesced.
+                    for frame in &frames {
+                        txn.on_event(frame.epoch)?;
+                    }
+                    let (_, dropped) = coalesce_frames(frames);
+                    self.note_coalesced(dropped);
                 }
-                let (_, dropped) = coalesce_frames(frames);
-                self.note_coalesced(dropped);
-                continue;
-            }
-            let Some(incoming) = drained.pop() else {
-                continue;
-            };
-            match incoming {
-                Incoming::Msg(ToController::Ack {
+                Ok(Some(Input::Msg(ToController::Ack {
                     client,
                     seq,
                     extender,
-                }) => {
-                    self.msgs_in += 1;
-                    txn.on_ack(&mut self.core, client, seq, extender);
-                }
-                Incoming::Msg(ToController::Report { epoch: e, .. })
-                | Incoming::Msg(ToController::Departed { epoch: e, .. }) => {
-                    self.msgs_in += 1;
-                    txn.on_event(e)?;
-                }
-                Incoming::Register { client, writer } => {
-                    self.writers[client] = Some(writer);
-                }
-                Incoming::Gone { client } => {
-                    // The ack deadline machinery turns a dead connection
-                    // into a declared-dead client.
-                    self.writers[client] = None;
-                }
-                Incoming::Stop { reason } => {
+                }))) => txn.on_ack(&mut self.core, client, seq, extender),
+                Ok(Some(Input::Msg(
+                    ToController::Report { epoch: e, .. } | ToController::Departed { epoch: e, .. },
+                ))) => txn.on_event(e)?,
+                Ok(Some(Input::Stop(reason))) => {
                     // Finish converging first; the driver stops after
                     // this event.
                     self.stop_reason.get_or_insert(reason);
@@ -1220,8 +1085,8 @@ impl Session {
 
     /// Sends one harness command; `false` when the client has no usable
     /// connection.
-    fn send_agent(&mut self, client: usize, cmd: &ToAgent) -> bool {
-        let env = Envelope::Agent(cmd.clone());
+    fn send_agent(&mut self, client: usize, cmd: ToAgent) -> bool {
+        let env = Envelope::Agent(cmd);
         match self.writers[client].as_mut() {
             Some(w) => match wire::send_counted(w, &env) {
                 Ok(sent) => {

@@ -78,9 +78,7 @@ pub mod wire;
 
 mod error;
 
-pub use agent::{
-    run_agent, run_agent_burst, run_agent_with, run_site_agent, AgentOutcome, AgentRetry,
-};
+pub use agent::{run_agent, run_agent_burst, run_site_agent, AgentOutcome, AgentRetry};
 pub use engine::{EngineStep, Incoming, SessionEngine};
 pub use error::{DaemonError, SnapshotCorrupt};
 pub use host::{Fleet, FleetOutcome, SiteDef};

@@ -61,6 +61,7 @@ use wolt_plc::capacity::CapacityEstimator;
 use wolt_sim::Scenario;
 use wolt_testbed::{ControllerPolicy, Deadlines, SessionEvent, SessionReport};
 
+use crate::engine;
 use crate::host::{self, SiteDef};
 use crate::store;
 #[cfg(doc)]
@@ -210,23 +211,15 @@ impl Daemon {
     ///
     /// [`DaemonError::Io`] when the address cannot be bound;
     /// [`DaemonError::InvalidConfig`] for an empty scenario or zero
-    /// retry budgets.
+    /// retry budgets; [`DaemonError::Testbed`] when the capacity
+    /// estimation fails.
     pub fn bind(
         addr: impl ToSocketAddrs,
         scenario: Scenario,
         events: Vec<SessionEvent>,
         config: DaemonConfig,
     ) -> Result<Self, DaemonError> {
-        if scenario.user_positions.is_empty() || scenario.extender_positions.is_empty() {
-            return Err(DaemonError::InvalidConfig {
-                context: "scenario needs at least one user and one extender".into(),
-            });
-        }
-        if config.deadlines.event_attempts == 0 || config.deadlines.ack_attempts == 0 {
-            return Err(DaemonError::InvalidConfig {
-                context: "deadlines need at least one attempt per message".into(),
-            });
-        }
+        engine::prepare_site(&scenario, &config)?;
         let listener = TcpListener::bind(addr)?;
         Ok(Self {
             listener,

@@ -35,6 +35,34 @@ pub struct DaemonSnapshot {
     pub core: ControllerSnapshot,
 }
 
+impl DaemonSnapshot {
+    /// Whether the snapshot fits a site of `n_users` clients and
+    /// `n_extenders` extenders: every per-client vector has `n_users`
+    /// entries, every attachment and telemetry rate vector fits
+    /// `n_extenders`, and every declared-dead client is in range. A
+    /// store that verifies can still hold another site's state (a site
+    /// re-created with another preset or user count under the same id);
+    /// restoring that would index out of range.
+    pub(crate) fn fits_site(&self, n_users: usize, n_extenders: usize) -> bool {
+        let core = &self.core;
+        let per_client = [
+            self.present.len(),
+            self.unresponsive.len(),
+            self.initial_attach.len(),
+            core.telemetry.len(),
+            core.association.len(),
+            core.dead.len(),
+            core.latest_seq.len(),
+        ];
+        per_client.iter().all(|&len| len == n_users)
+            && (self.initial_attach.iter().chain(&core.association))
+                .flatten()
+                .all(|&j| j < n_extenders)
+            && (core.telemetry.iter().flatten()).all(|e| e.rates.len() == n_extenders)
+            && core.declared_dead.iter().all(|&i| i < n_users)
+    }
+}
+
 impl ToJson for DaemonSnapshot {
     fn to_json(&self) -> Json {
         Json::obj([
@@ -86,6 +114,20 @@ mod tests {
             retries: 3,
             core: core.snapshot(),
         }
+    }
+
+    #[test]
+    fn only_a_snapshot_that_fits_the_site_restores() {
+        let snap = sample();
+        assert!(snap.fits_site(2, 2));
+        assert!(!snap.fits_site(3, 2), "per-client vectors too short");
+        assert!(!snap.fits_site(2, 3), "rate vectors too short");
+        let mut moved = snap.clone();
+        moved.initial_attach[1] = Some(2);
+        assert!(!moved.fits_site(2, 2), "attachment out of range");
+        let mut dead = snap;
+        dead.core.declared_dead.push(2);
+        assert!(!dead.fits_site(2, 2), "dead client out of range");
     }
 
     #[test]

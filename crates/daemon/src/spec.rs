@@ -123,6 +123,43 @@ pub fn validate_site_id(id: &str) -> Result<(), DaemonError> {
     Ok(())
 }
 
+/// Parses a controller policy name (case-insensitive): the one parser
+/// behind spec files, fleet operations and the `wolt serve` / `wolt
+/// chaos` command lines.
+///
+/// # Errors
+///
+/// A message listing the accepted names.
+pub fn parse_policy(name: &str) -> Result<ControllerPolicy, String> {
+    match name.to_ascii_lowercase().as_str() {
+        "wolt" => Ok(ControllerPolicy::Wolt),
+        "greedy" => Ok(ControllerPolicy::Greedy),
+        "rssi" => Ok(ControllerPolicy::Rssi),
+        other => Err(format!(
+            "unknown policy {other:?} (try wolt | greedy | rssi)"
+        )),
+    }
+}
+
+/// Regenerates the scenario a site runs from `(preset, users, seed)`
+/// (preset names are case-insensitive). Every server and agent derives
+/// its scenario through here, so both sides of a session agree without
+/// shipping rate tables.
+///
+/// # Errors
+///
+/// A message listing the accepted presets for an unknown one, or the
+/// generator's rejection.
+pub fn preset_scenario(preset: &str, users: usize, seed: u64) -> Result<Scenario, String> {
+    let config = match preset.to_ascii_lowercase().as_str() {
+        "lab" => ScenarioConfig::lab(users),
+        "enterprise" => ScenarioConfig::enterprise(users),
+        other => return Err(format!("unknown preset {other:?} (try lab | enterprise)")),
+    };
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    Scenario::generate(&config, &mut rng).map_err(|e| format!("scenario generation: {e}"))
+}
+
 /// Turns one wire-level [`SiteSpec`] into a runnable [`SiteDef`]:
 /// regenerates the scenario from `(preset, users, seed)` exactly as the
 /// single-site `wolt serve` does (the seed doubles as the
@@ -135,36 +172,11 @@ pub fn validate_site_id(id: &str) -> Result<(), DaemonError> {
 /// policy, or a scenario the generator rejects.
 pub fn materialize(spec: &SiteSpec) -> Result<SiteDef, DaemonError> {
     validate_site_id(&spec.id)?;
-    let policy = match spec.policy.to_ascii_lowercase().as_str() {
-        "wolt" => ControllerPolicy::Wolt,
-        "greedy" => ControllerPolicy::Greedy,
-        "rssi" => ControllerPolicy::Rssi,
-        other => {
-            return Err(DaemonError::InvalidConfig {
-                context: format!(
-                    "site {:?}: unknown policy {other:?} (try wolt | greedy | rssi)",
-                    spec.id
-                ),
-            })
-        }
+    let invalid = |what: String| DaemonError::InvalidConfig {
+        context: format!("site {:?}: {what}", spec.id),
     };
-    let config = match spec.preset.to_ascii_lowercase().as_str() {
-        "lab" => ScenarioConfig::lab(spec.users),
-        "enterprise" => ScenarioConfig::enterprise(spec.users),
-        other => {
-            return Err(DaemonError::InvalidConfig {
-                context: format!(
-                    "site {:?}: unknown preset {other:?} (try lab | enterprise)",
-                    spec.id
-                ),
-            })
-        }
-    };
-    let mut rng = ChaCha8Rng::seed_from_u64(spec.seed);
-    let scenario =
-        Scenario::generate(&config, &mut rng).map_err(|e| DaemonError::InvalidConfig {
-            context: format!("site {:?}: scenario generation: {e}", spec.id),
-        })?;
+    let policy = parse_policy(&spec.policy).map_err(invalid)?;
+    let scenario = preset_scenario(&spec.preset, spec.users, spec.seed).map_err(invalid)?;
     let events: Vec<SessionEvent> = (0..spec.users).map(SessionEvent::Join).collect();
     Ok(SiteDef {
         id: spec.id.clone(),

@@ -27,6 +27,7 @@ use wolt_support::json::{FromJson, Json, JsonError, ToJson};
 use wolt_support::obs;
 use wolt_units::Mbps;
 
+use crate::protocol::ToController;
 use crate::rig::ControllerPolicy;
 use crate::TestbedError;
 
@@ -300,6 +301,38 @@ impl ControllerCore {
         } else {
             obs::counter_inc("cc.acks_stale");
             false
+        }
+    }
+
+    /// Handles one client message arriving between directive
+    /// transactions, as both transports do: a scan report or departure
+    /// notice of a new epoch is planned, returning its epoch with the
+    /// planned directives (or the failed plan); a duplicate epoch is
+    /// dropped and a late ack refreshes the view iff it matches the
+    /// newest directive, returning `None`.
+    pub fn handle_message(
+        &mut self,
+        msg: ToController,
+    ) -> Option<(u64, Result<Vec<Directive>, TestbedError>)> {
+        match msg {
+            ToController::Report {
+                client,
+                epoch,
+                rates,
+                attached,
+            } => (!self.is_duplicate(epoch))
+                .then(|| (epoch, self.handle_report(client, epoch, &rates, attached))),
+            ToController::Departed { client, epoch } => {
+                (!self.is_duplicate(epoch)).then(|| (epoch, self.handle_departed(client, epoch)))
+            }
+            ToController::Ack {
+                client,
+                seq,
+                extender,
+            } => {
+                self.handle_ack(client, seq, extender);
+                None
+            }
         }
     }
 

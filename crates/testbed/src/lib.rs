@@ -21,6 +21,12 @@
 //! * [`transaction`] — one directive transaction (send, retransmit
 //!   with backoff, declare dead and replan) as a sans-I/O state machine
 //!   both transports drive.
+//! * [`harness`] — the join/leave session driver (event cursor, command
+//!   retransmission, presence ledger) and the shared session set-up, as
+//!   a sans-I/O state machine both transports drive.
+//! * [`agent`] — the laptop utility's rules (scan, report, apply the
+//!   newest directive, ack) as a sans-I/O state machine every agent
+//!   carries.
 //! * [`codec`] — the length-prefixed JSON wire codec for [`protocol`]
 //!   messages, used by the daemon's TCP transport.
 //! * [`faults`] — seeded deterministic fault injection (message drop /
@@ -49,22 +55,26 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod agent;
 pub mod codec;
 pub mod controller;
 pub mod experiment;
 pub mod faults;
+pub mod harness;
 pub mod protocol;
 pub mod rig;
 pub mod transaction;
 
 mod error;
 
+pub use agent::Agent;
 pub use controller::{
     coalesce_frames, BatchOutcome, ControllerConfig, ControllerCore, ControllerSnapshot, Directive,
     ReportFrame,
 };
 pub use error::TestbedError;
 pub use faults::{FaultPlan, LinkFaults};
+pub use harness::{prepare_session, Harness, HarnessEvent, HarnessState};
 pub use rig::{
     assemble_report, run_faulty_session, run_rig, run_session, ControllerPolicy, Deadlines,
     RigConfig, SessionEvent, SessionLedger, SessionReport, TopologyOutcome,

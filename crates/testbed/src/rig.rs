@@ -47,12 +47,12 @@ use std::time::{Duration, Instant};
 use wolt_core::{evaluate, Association};
 use wolt_plc::capacity::CapacityEstimator;
 use wolt_sim::Scenario;
-use wolt_support::obs;
-use wolt_support::rng::{ChaCha8Rng, SeedableRng};
 use wolt_units::Mbps;
 
+use crate::agent::Agent;
 use crate::controller::{ControllerConfig, ControllerCore, Directive};
 use crate::faults::{FaultPlan, Link, MessageKey};
+use crate::harness::{prepare_session, Harness, HarnessState};
 use crate::protocol::{ToAgent, ToClient, ToController};
 use crate::transaction::{Transaction, Transmission};
 use crate::TestbedError;
@@ -308,13 +308,8 @@ pub fn run_faulty_session(
     seed: u64,
     plan: &FaultPlan,
 ) -> Result<SessionReport, TestbedError> {
+    let estimated = prepare_session(scenario, &config.estimator, &config.deadlines, seed)?;
     let n_users = scenario.user_positions.len();
-    let n_ext = scenario.extender_positions.len();
-    if n_users == 0 || n_ext == 0 {
-        return Err(TestbedError::InvalidConfig {
-            context: "scenario needs at least one user and one extender",
-        });
-    }
     plan.validate()?;
     if plan
         .crashed
@@ -327,24 +322,8 @@ pub fn run_faulty_session(
         });
     }
     let deadlines = config.deadlines;
-    if deadlines.event_attempts == 0 || deadlines.ack_attempts == 0 {
-        return Err(TestbedError::InvalidConfig {
-            context: "deadlines need at least one attempt per message",
-        });
-    }
     let strict = plan.is_none();
     let plan = Arc::new(plan.clone());
-
-    // Offline capacity estimation (the paper's iperf3 procedure).
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let estimated: Vec<Mbps> = scenario
-        .capacities
-        .iter()
-        .map(|&c| config.estimator.estimate(c, &mut rng))
-        .collect::<Result<_, _>>()
-        .map_err(|e| TestbedError::Layer {
-            context: format!("capacity estimation: {e}"),
-        })?;
 
     // Physical association state shared by all agents (the "air").
     let physical: Arc<Mutex<Vec<Option<usize>>>> = Arc::new(Mutex::new(vec![None; n_users]));
@@ -361,12 +340,12 @@ pub fn run_faulty_session(
         // replaces a two-channel select without reordering anything.
         let (agent_tx, agent_rx) = channel::<AgentInbox>();
         agent_txs.push(agent_tx);
-        let rates: Vec<Option<Mbps>> = (0..n_ext).map(|j| scenario.rate(i, j)).collect();
+        let agent = Agent::from_scenario(scenario, i);
         let physical = Arc::clone(&physical);
         let to_cc = to_cc_tx.clone();
         let plan = Arc::clone(&plan);
         agent_handles.push(thread::spawn(move || {
-            client_agent(i, rates, physical, to_cc, agent_rx, plan)
+            client_agent(agent, physical, to_cc, agent_rx, plan)
         }));
     }
 
@@ -389,51 +368,19 @@ pub fn run_faulty_session(
     let cc_handle = thread::spawn(move || controller(ctx, core, to_cc_rx, cc_client_txs, done_tx));
 
     // Drive the session: joins and leaves are serialized, as laptops were
-    // brought online/offline one at a time. Each event is retransmitted
-    // up to `event_attempts` times before the harness gives up.
-    let mut present = vec![false; n_users];
-    let mut unresponsive = vec![false; n_users];
-    let mut initial_attach: Vec<Option<usize>> = vec![None; n_users];
-    let mut harness_retries = 0usize;
-
-    for (idx, &event) in events.iter().enumerate() {
-        let epoch = idx as u64;
-        let (i, is_join) = match event {
-            SessionEvent::Join(i) => (i, true),
-            SessionEvent::Leave(i) => (i, false),
-        };
-        if i < n_users && unresponsive[i] {
-            // A client whose earlier event never completed is out of the
-            // session: later events for it are skipped, not errors.
-            continue;
-        }
-        let valid = i < n_users && if is_join { !present[i] } else { present[i] };
-        if !valid {
-            return Err(TestbedError::InvalidConfig {
-                context: if is_join {
-                    "join of an out-of-range or already-present client"
-                } else {
-                    "leave of an out-of-range or absent client"
-                },
-            });
-        }
-
-        let mut completed = false;
-        let mut agent_gone = false;
-        'attempts: for attempt in 1..=deadlines.event_attempts {
-            if attempt > 1 {
-                harness_retries += 1;
-                obs::counter_inc("harness.retransmissions");
-            }
-            let cmd = if is_join {
-                ToAgent::Join { epoch, attempt }
-            } else {
-                ToAgent::Leave { epoch, attempt }
-            };
+    // brought online/offline one at a time, each through the shared
+    // [`Harness`]; this loop only carries its commands and waits.
+    let mut harness = Harness::new(
+        events.to_vec(),
+        deadlines.event_attempts,
+        HarnessState::new(n_users),
+    );
+    'events: while let Some(event) = harness.next_event()? {
+        let i = event.client;
+        while let Some(cmd) = harness.next_command() {
             if agent_txs[i].send(AgentInbox::Harness(cmd)).is_err() {
                 if plan.expects_agent_fault(i) {
-                    agent_gone = true;
-                    break 'attempts;
+                    break;
                 }
                 return Err(TestbedError::ChannelClosed { endpoint: "agent" });
             }
@@ -441,10 +388,10 @@ pub fn run_faulty_session(
             loop {
                 let wait = deadline.saturating_duration_since(Instant::now());
                 match done_rx.recv_timeout(wait) {
-                    Ok(DoneEvent { epoch: e, result }) if e == epoch => {
+                    Ok(DoneEvent { epoch, result }) if epoch == event.epoch => {
                         result?;
-                        completed = true;
-                        break 'attempts;
+                        harness.complete(lock_physical(&physical)[i]);
+                        continue 'events;
                     }
                     // Stale completion of an earlier retransmitted event.
                     Ok(_) => continue,
@@ -457,31 +404,16 @@ pub fn run_faulty_session(
                 }
             }
         }
-
-        if completed {
-            if is_join {
-                present[i] = true;
-                if initial_attach[i].is_none() {
-                    initial_attach[i] = lock_physical(&physical)[i];
-                }
-            } else {
-                present[i] = false;
-            }
-        } else if agent_gone || plan.expects_agent_fault(i) {
-            // Planned silence: a crashed agent's channel is gone (or its
-            // only report was dropped). Its join can never complete; a
-            // leave already happened physically or the radio is simply
-            // abandoned to the survivor mask.
-            if is_join {
-                unresponsive[i] = true;
-            } else {
-                present[i] = false;
-            }
-        } else {
+        if !plan.expects_agent_fault(i) {
             return Err(TestbedError::Timeout {
-                waiting_for: format!("completion of event {epoch} (client {i})"),
+                waiting_for: format!("completion of event {} (client {i})", event.epoch),
             });
         }
+        // Planned silence: a crashed agent's channel is gone (or its
+        // only report was dropped). Its join can never complete; a leave
+        // already happened physically or the radio is simply abandoned
+        // to the survivor mask.
+        harness.abandon();
     }
 
     // Shutdown: stop agents, close the CC inbox, join threads.
@@ -489,7 +421,7 @@ pub fn run_faulty_session(
         let _ = tx.send(AgentInbox::Harness(ToAgent::Shutdown));
     }
     drop(to_cc_tx);
-    let cc = cc_handle.join().map_err(|_| TestbedError::ChannelClosed {
+    let (core, cc_retries) = cc_handle.join().map_err(|_| TestbedError::ChannelClosed {
         endpoint: "controller",
     })?;
     for h in agent_handles {
@@ -501,41 +433,31 @@ pub fn run_faulty_session(
     // CC's view must agree with it exactly.
     let physical_assoc: Vec<Option<usize>> = lock_physical(&physical).clone();
     if strict {
-        debug_assert_eq!(physical_assoc, cc.association);
+        debug_assert_eq!(physical_assoc, core.association());
     }
 
     assemble_report(
         scenario,
         &physical_assoc,
         SessionLedger {
-            policy_name: config.policy.name().to_string(),
-            present,
-            unresponsive,
-            initial_attach,
             crashed: plan.crashed.clone(),
             wedged: plan.wedged.clone(),
-            declared_dead: cc.declared_dead,
-            directives: cc.directives,
-            degraded_solves: cc.degraded_solves,
-            retries: cc.retries + harness_retries,
+            ..harness.into_ledger(config.policy, &core, cc_retries)
         },
     )
 }
 
 /// Everything a session driver observed, handed to [`assemble_report`]
-/// for evaluation. Both transports fill one: the in-process rig from its
-/// harness loop, the `wolt-daemon` from its TCP session loop.
+/// for evaluation. Both transports fill one from their [`Harness`]
+/// ([`Harness::into_ledger`]): the in-process rig from its channel loop,
+/// the `wolt-daemon` from its TCP session loop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionLedger {
     /// Display name of the policy that ran.
     pub policy_name: String,
-    /// Whether each client was present (joined, not departed) at the end.
-    pub present: Vec<bool>,
-    /// Whether each client's join/leave never completed within the retry
-    /// budget.
-    pub unresponsive: Vec<bool>,
-    /// Each client's first strongest-RSSI attachment, if it joined.
-    pub initial_attach: Vec<Option<usize>>,
+    /// The harness's ledger: presence, unresponsiveness, initial
+    /// attachments, harness retransmissions.
+    pub harness: HarnessState,
     /// Clients the fault plan crashed (empty for a fault-free transport).
     pub crashed: Vec<usize>,
     /// Clients the fault plan wedged (empty for a fault-free transport).
@@ -546,8 +468,8 @@ pub struct SessionLedger {
     pub directives: usize,
     /// Solves that degraded to the previous association.
     pub degraded_solves: usize,
-    /// Total retransmissions (timing-dependent).
-    pub retries: usize,
+    /// Directive retransmissions (timing-dependent).
+    pub directive_retries: usize,
 }
 
 /// Evaluates a finished session on the scenario's TRUE capacities and
@@ -569,8 +491,8 @@ pub fn assemble_report(
     // by the plan. Everything else is masked out of the evaluation (a
     // crashed laptop's abandoned radio association moves no data).
     let survivor = |i: usize| {
-        ledger.present[i]
-            && !ledger.unresponsive[i]
+        ledger.harness.present[i]
+            && !ledger.harness.unresponsive[i]
             && !ledger.crashed.contains(&i)
             && !ledger.wedged.contains(&i)
     };
@@ -588,8 +510,8 @@ pub fn assemble_report(
     let switches = (0..n_users)
         .filter(|&i| {
             survivor(i)
-                && ledger.initial_attach[i].is_some()
-                && association.target(i) != ledger.initial_attach[i]
+                && ledger.harness.initial_attach[i].is_some()
+                && association.target(i) != ledger.harness.initial_attach[i]
         })
         .count();
 
@@ -625,9 +547,11 @@ pub fn assemble_report(
         crashed,
         wedged,
         declared_dead,
-        unresponsive: (0..n_users).filter(|&i| ledger.unresponsive[i]).collect(),
+        unresponsive: (0..n_users)
+            .filter(|&i| ledger.harness.unresponsive[i])
+            .collect(),
         degraded_solves: ledger.degraded_solves,
-        retries: ledger.retries,
+        retries: ledger.harness.retries + ledger.directive_retries,
     })
 }
 
@@ -664,25 +588,17 @@ struct ControllerCtx {
     strict: bool,
 }
 
-/// What the controller learned, returned at shutdown.
-struct ControllerReturn {
-    directives: usize,
-    retries: usize,
-    degraded_solves: usize,
-    declared_dead: Vec<usize>,
-    association: Vec<Option<usize>>,
-}
-
 /// The Central Controller loop: dedup incoming events by epoch, hand each
 /// genuine event to the [`ControllerCore`] for planning, run one directive
-/// transaction per event, absorb late acks in between.
+/// transaction per event, absorb late acks in between. Returns the core
+/// and its directive retransmissions at shutdown.
 fn controller(
     ctx: ControllerCtx,
     mut core: ControllerCore,
     rx: Receiver<ToController>,
     client_txs: Vec<Sender<AgentInbox>>,
     done: Sender<DoneEvent>,
-) -> ControllerReturn {
+) -> (ControllerCore, usize) {
     let mut retries = 0usize;
     loop {
         let msg = match rx.recv_timeout(ctx.deadlines.idle) {
@@ -690,72 +606,25 @@ fn controller(
             Err(RecvTimeoutError::Timeout) => continue,
             Err(RecvTimeoutError::Disconnected) => break,
         };
-        match msg {
-            ToController::Report {
-                client,
+        let Some((epoch, planned)) = core.handle_message(msg) else {
+            continue;
+        };
+        let result = planned.and_then(|directives| {
+            run_transaction(
+                &mut core,
+                &ctx,
+                &mut retries,
+                directives,
                 epoch,
-                rates,
-                attached,
-            } => {
-                if core.is_duplicate(epoch) {
-                    continue;
-                }
-                let result = core
-                    .handle_report(client, epoch, &rates, attached)
-                    .and_then(|directives| {
-                        run_transaction(
-                            &mut core,
-                            &ctx,
-                            &mut retries,
-                            directives,
-                            epoch,
-                            &rx,
-                            &client_txs,
-                        )
-                    });
-                if done.send(DoneEvent { epoch, result }).is_err() {
-                    break;
-                }
-            }
-            ToController::Departed { client, epoch } => {
-                if core.is_duplicate(epoch) {
-                    continue;
-                }
-                // WOLT re-optimizes the survivors; the baselines plan
-                // nothing, so the transaction completes immediately.
-                let result = core.handle_departed(client, epoch).and_then(|directives| {
-                    run_transaction(
-                        &mut core,
-                        &ctx,
-                        &mut retries,
-                        directives,
-                        epoch,
-                        &rx,
-                        &client_txs,
-                    )
-                });
-                if done.send(DoneEvent { epoch, result }).is_err() {
-                    break;
-                }
-            }
-            ToController::Ack {
-                client,
-                seq,
-                extender,
-            } => {
-                // A late ack (post-transaction retransmission) refreshes
-                // the CC view iff it matches the newest directive.
-                core.handle_ack(client, seq, extender);
-            }
+                &rx,
+                &client_txs,
+            )
+        });
+        if done.send(DoneEvent { epoch, result }).is_err() {
+            break;
         }
     }
-    ControllerReturn {
-        directives: core.directives(),
-        retries,
-        degraded_solves: core.degraded_solves(),
-        declared_dead: core.declared_dead().to_vec(),
-        association: core.association().to_vec(),
-    }
+    (core, retries)
 }
 
 /// One directive transaction over the rig's channels: a [`Transaction`]
@@ -853,87 +722,37 @@ fn faulty_send(
     to_cc.send(msg).is_ok()
 }
 
-/// The client-agent loop: handle harness commands (join/leave/shutdown)
-/// and CC directives concurrently, replaying the fault plan's decisions
-/// for every transmission.
+/// The client-agent loop: carry harness commands (join/leave/shutdown)
+/// and CC directives to the shared [`Agent`], mirror its attachment into
+/// the physical state, and replay the fault plan's decisions for every
+/// transmission.
 fn client_agent(
-    id: usize,
-    rates: Vec<Option<Mbps>>,
+    mut agent: Agent,
     physical: Arc<Mutex<Vec<Option<usize>>>>,
     to_cc: Sender<ToController>,
     inbox: Receiver<AgentInbox>,
     plan: Arc<FaultPlan>,
 ) {
+    let id = agent.client();
     let crashes = plan.crashed.contains(&id);
     let wedged = plan.wedged.contains(&id);
-    let mut joined = false;
-    let mut attached = 0usize;
-    let mut last_applied: Option<u64> = None;
     loop {
         let msg = match inbox.recv() {
             Ok(msg) => msg,
             Err(_) => return,
         };
-        match msg {
+        // Planned crash: exit silently right after the first scan report,
+        // leaving the radio attached and the CC uninformed. No Departed,
+        // no acks, channel closed.
+        let crash_after = crashes && matches!(msg, AgentInbox::Harness(ToAgent::Join { .. }));
+        let (key, reply) = match msg {
             AgentInbox::Harness(ToAgent::Join { epoch, attempt }) => {
-                if !joined {
-                    // Scan: strongest signal = highest achievable rate
-                    // (monotone table); ties break toward the lowest
-                    // extender index, matching the offline RSSI baseline.
-                    let mut best = 0usize;
-                    let mut best_rate = f64::NEG_INFINITY;
-                    for (j, r) in rates.iter().enumerate() {
-                        if let Some(m) = r {
-                            if m.value() > best_rate {
-                                best_rate = m.value();
-                                best = j;
-                            }
-                        }
-                    }
-                    attached = best;
-                    lock_physical(&physical)[id] = Some(attached);
-                    joined = true;
-                    last_applied = None;
-                }
-                // Retransmitted joins re-send the report without
-                // re-scanning, so an applied directive is never clobbered.
-                let delivered = faulty_send(
-                    &plan,
-                    MessageKey::report(id, epoch, attempt),
-                    &to_cc,
-                    ToController::Report {
-                        client: id,
-                        epoch,
-                        rates: rates.clone(),
-                        attached,
-                    },
-                );
-                if !delivered {
-                    return;
-                }
-                if crashes {
-                    // Planned crash: exit silently right after the first
-                    // scan report, leaving the radio attached and the CC
-                    // uninformed. No Departed, no acks, channel closed.
-                    return;
-                }
+                (MessageKey::report(id, epoch, attempt), agent.on_join(epoch))
             }
-            AgentInbox::Harness(ToAgent::Leave { epoch, attempt }) => {
-                if joined {
-                    lock_physical(&physical)[id] = None;
-                    joined = false;
-                }
-                // Always (re-)notify: the CC dedups by epoch.
-                let delivered = faulty_send(
-                    &plan,
-                    MessageKey::departed(id, epoch, attempt),
-                    &to_cc,
-                    ToController::Departed { client: id, epoch },
-                );
-                if !delivered {
-                    return;
-                }
-            }
+            AgentInbox::Harness(ToAgent::Leave { epoch, attempt }) => (
+                MessageKey::departed(id, epoch, attempt),
+                agent.on_leave(epoch),
+            ),
             AgentInbox::Harness(ToAgent::Shutdown) | AgentInbox::Cc(ToClient::Shutdown) => return,
             AgentInbox::Cc(ToClient::Directive {
                 extender,
@@ -951,33 +770,15 @@ fn client_agent(
                 if !decision.delay.is_zero() {
                     thread::sleep(decision.delay);
                 }
-                // A directive can race a departure at shutdown; only a
-                // joined client applies it.
-                if !joined {
+                let Some(ack) = agent.on_directive(extender, seq) else {
                     continue;
-                }
-                if last_applied.is_none_or(|s| seq > s) {
-                    attached = extender;
-                    lock_physical(&physical)[id] = Some(extender);
-                    last_applied = Some(seq);
-                }
-                // Ack every received transmission (idempotent at the CC);
-                // report the *current* attachment, which for the newest
-                // sequence is the directive's target.
-                let delivered = faulty_send(
-                    &plan,
-                    MessageKey::ack(id, seq, attempt),
-                    &to_cc,
-                    ToController::Ack {
-                        client: id,
-                        seq,
-                        extender: attached,
-                    },
-                );
-                if !delivered {
-                    return;
-                }
+                };
+                (MessageKey::ack(id, seq, attempt), ack)
             }
+        };
+        lock_physical(&physical)[id] = agent.attached();
+        if !faulty_send(&plan, key, &to_cc, reply) || crash_after {
+            return;
         }
     }
 }
@@ -989,6 +790,7 @@ mod tests {
     use wolt_core::baselines::Greedy;
     use wolt_core::AssociationPolicy;
     use wolt_sim::scenario::ScenarioConfig;
+    use wolt_support::rng::{ChaCha8Rng, SeedableRng};
 
     fn lab_scenario(seed: u64) -> Scenario {
         let cfg = ScenarioConfig::lab(7);

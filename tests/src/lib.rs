@@ -10,8 +10,8 @@ use wolt_sim::scenario::ScenarioConfig;
 use wolt_sim::Scenario;
 use wolt_support::rng::ChaCha8Rng;
 use wolt_support::rng::SeedableRng;
-use wolt_testbed::protocol::{ToAgent, ToClient, ToController};
-use wolt_units::Mbps;
+use wolt_testbed::protocol::{ToAgent, ToClient};
+use wolt_testbed::Agent;
 
 /// The paper's Fig. 3 case-study network: 2 extenders (PLC 60/20), 2 users
 /// (rates [[15, 10], [40, 20]]).
@@ -41,11 +41,12 @@ pub fn enterprise_network(users: usize, seed: u64) -> Network {
 }
 
 /// A hand-rolled agent that speaks the daemon's wire protocol as
-/// `wolt_daemon::run_agent` does (scan on join, report, apply and ack
-/// directives, exit on dismissal), with two scripted deviations:
-/// `before_first_report` runs once, on the first join command, before
-/// the honest report goes out; and the first `ignore` directive
-/// transmissions are dropped unanswered. `site` names a fleet site.
+/// `wolt_daemon::run_agent` does (the shared [`Agent`]'s rules, exit on
+/// dismissal), with three scripted deviations: the first `skip_joins`
+/// join commands go unanswered; `before_first_report` runs once, on the
+/// first answered join, before the honest report goes out; and the first
+/// `ignore` directive transmissions are dropped unanswered. `site` names
+/// a fleet site.
 ///
 /// # Errors
 ///
@@ -55,12 +56,11 @@ pub fn scripted_agent(
     scenario: &Scenario,
     client: usize,
     site: Option<&str>,
+    mut skip_joins: usize,
     mut ignore: usize,
     mut before_first_report: impl FnMut(&mut TcpStream, u64) -> io::Result<()>,
 ) -> io::Result<()> {
-    let rates: Vec<Option<Mbps>> = (0..scenario.extender_positions.len())
-        .map(|j| scenario.rate(client, j))
-        .collect();
+    let mut agent = Agent::from_scenario(scenario, client);
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
     wire::send(
@@ -74,48 +74,30 @@ pub fn scripted_agent(
     if !matches!(wire::recv(&mut stream)?, Some(Envelope::HelloAck { .. })) {
         return Err(io::Error::other("handshake refused"));
     }
-    let mut attached: Option<usize> = None;
-    let mut last_applied: Option<u64> = None;
     let mut first_join = true;
     loop {
-        match wire::recv(&mut stream)? {
+        let reply = match wire::recv(&mut stream)? {
             Some(Envelope::Agent(ToAgent::Join { epoch, .. })) => {
-                // Strongest signal, ties toward the lowest index.
-                let mut scan = 0;
-                let mut best = f64::NEG_INFINITY;
-                for (j, r) in rates.iter().enumerate() {
-                    if let Some(m) = r.filter(|m| m.value() > best) {
-                        best = m.value();
-                        scan = j;
-                    }
+                if skip_joins > 0 {
+                    skip_joins -= 1;
+                    continue;
                 }
-                let at = *attached.get_or_insert(scan);
+                let report = agent.on_join(epoch);
                 if std::mem::take(&mut first_join) {
                     before_first_report(&mut stream, epoch)?;
                 }
-                let report = ToController::Report {
-                    client,
-                    epoch,
-                    rates: rates.clone(),
-                    attached: at,
-                };
-                wire::send(&mut stream, &Envelope::Ctrl(report))?;
+                report
             }
+            Some(Envelope::Agent(ToAgent::Leave { epoch, .. })) => agent.on_leave(epoch),
             Some(Envelope::Client(ToClient::Directive { extender, seq, .. })) => {
                 if ignore > 0 {
                     ignore -= 1;
                     continue;
                 }
-                if last_applied.is_none_or(|s| seq > s) {
-                    attached = Some(extender);
-                    last_applied = Some(seq);
+                match agent.on_directive(extender, seq) {
+                    Some(ack) => ack,
+                    None => continue,
                 }
-                let ack = ToController::Ack {
-                    client,
-                    seq,
-                    extender: attached.unwrap_or(extender),
-                };
-                wire::send(&mut stream, &Envelope::Ctrl(ack))?;
             }
             Some(Envelope::Agent(ToAgent::Shutdown)) | None => return Ok(()),
             Some(other) => {
@@ -123,7 +105,8 @@ pub fn scripted_agent(
                     "unexpected envelope for an agent: {other:?}"
                 )))
             }
-        }
+        };
+        wire::send(&mut stream, &Envelope::Ctrl(reply))?;
     }
 }
 

@@ -1,8 +1,10 @@
 //! Metric names mean the same thing in the rig and the daemon: both
-//! drive the one directive [`wolt_testbed::Transaction`], so a lost
-//! first directive transmission is counted as an ack timeout and a
-//! retransmission by either transport, and a session touches the same
-//! set of `cc.*` counters whichever transport carries it.
+//! drive the one directive [`wolt_testbed::Transaction`] and the one
+//! join/leave [`wolt_testbed::Harness`], so a lost first directive
+//! transmission is counted as an ack timeout and a retransmission, and
+//! a lost join as a harness retransmission, by either transport; and a
+//! session touches the same set of `cc.*` and `harness.*` counters
+//! whichever transport carries it.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -41,13 +43,13 @@ fn deadlines() -> Deadlines {
     }
 }
 
-/// The `cc.*` counters that rose between two snapshots, with their
-/// increments.
-fn cc_deltas(before: &ObsSnapshot, after: &ObsSnapshot) -> BTreeMap<String, u64> {
+/// The `cc.*` and `harness.*` counters that rose between two
+/// snapshots, with their increments.
+fn deltas(before: &ObsSnapshot, after: &ObsSnapshot) -> BTreeMap<String, u64> {
     after
         .counters
         .iter()
-        .filter(|(name, _)| name.starts_with("cc."))
+        .filter(|(name, _)| name.starts_with("cc.") || name.starts_with("harness."))
         .map(|(name, &v)| (name.clone(), v - before.counter(name)))
         .filter(|&(_, d)| d > 0)
         .collect()
@@ -74,7 +76,7 @@ fn rig_and_daemon_count_a_lost_directive_alike() {
     let before = obs::snapshot();
     let report = run_faulty_session(&scenario, &config, &events, NOISE_SEED, &plan)
         .expect("lossy rig session");
-    let rig = cc_deltas(&before, &obs::snapshot());
+    let rig = deltas(&before, &obs::snapshot());
     assert!(report.declared_dead.is_empty(), "the plan killed a client");
 
     // Daemon: every agent ignores the first directive it receives.
@@ -87,14 +89,14 @@ fn rig_and_daemon_count_a_lost_directive_alike() {
     let agents: Vec<_> = (0..USERS)
         .map(|i| {
             let scenario = scenario.clone();
-            thread::spawn(move || scripted_agent(addr, &scenario, i, None, 1, |_, _| Ok(())))
+            thread::spawn(move || scripted_agent(addr, &scenario, i, None, 0, 1, |_, _| Ok(())))
         })
         .collect();
     let outcome = daemon.run().expect("daemon session");
     for agent in agents {
         agent.join().unwrap().expect("agent exits");
     }
-    let daemon = cc_deltas(&before, &obs::snapshot());
+    let daemon = deltas(&before, &obs::snapshot());
     assert!(outcome.completed);
     assert!(outcome.report.declared_dead.is_empty());
 
@@ -107,5 +109,70 @@ fn rig_and_daemon_count_a_lost_directive_alike() {
         rig.keys().collect::<Vec<_>>(),
         daemon.keys().collect::<Vec<_>>(),
         "the transports touched different cc.* counters"
+    );
+}
+
+#[test]
+fn rig_and_daemon_count_a_lost_join_alike() {
+    let _guard = lock();
+    let scenario = lab_scenario(USERS, SCENARIO_SEED);
+    let events: Vec<SessionEvent> = (0..USERS).map(SessionEvent::Join).collect();
+    // A short event deadline retransmits a lost join quickly; the ack
+    // deadline stays long, so no directive is retransmitted.
+    let deadlines = Deadlines {
+        event: Duration::from_millis(200),
+        ..deadlines()
+    };
+
+    // Rig: the seeded plan drops agent -> CC messages (this seed drops
+    // at least one scan report and no ack, and never a whole join
+    // budget).
+    let plan = FaultPlan {
+        seed: 1,
+        to_cc: LinkFaults {
+            drop: 0.2,
+            ..LinkFaults::none()
+        },
+        ..FaultPlan::none()
+    };
+    let mut config = RigConfig::new(ControllerPolicy::Wolt);
+    config.deadlines = deadlines;
+    let before = obs::snapshot();
+    let report = run_faulty_session(&scenario, &config, &events, NOISE_SEED, &plan)
+        .expect("lossy rig session");
+    let rig = deltas(&before, &obs::snapshot());
+    assert!(report.unresponsive.is_empty(), "a join never completed");
+
+    // Daemon: every agent leaves its first join command unanswered.
+    let mut config = DaemonConfig::new(ControllerPolicy::Wolt);
+    config.noise_seed = NOISE_SEED;
+    config.deadlines = deadlines;
+    let daemon = Daemon::bind("127.0.0.1:0", scenario.clone(), events, config).unwrap();
+    let addr = daemon.local_addr().unwrap();
+    let before = obs::snapshot();
+    let agents: Vec<_> = (0..USERS)
+        .map(|i| {
+            let scenario = scenario.clone();
+            thread::spawn(move || scripted_agent(addr, &scenario, i, None, 1, 0, |_, _| Ok(())))
+        })
+        .collect();
+    let outcome = daemon.run().expect("daemon session");
+    for agent in agents {
+        agent.join().unwrap().expect("agent exits");
+    }
+    let daemon = deltas(&before, &obs::snapshot());
+    assert!(outcome.completed);
+    assert!(outcome.report.unresponsive.is_empty());
+
+    for (label, deltas) in [("rig", &rig), ("daemon", &daemon)] {
+        assert!(
+            deltas.contains_key("harness.retransmissions"),
+            "{label} never counted harness.retransmissions"
+        );
+    }
+    assert_eq!(
+        rig.keys().collect::<Vec<_>>(),
+        daemon.keys().collect::<Vec<_>>(),
+        "the transports touched different counters"
     );
 }

@@ -109,9 +109,15 @@ fn serve_with_hostile_client(
         let scenario = scenario.clone();
         let site = site.map(str::to_string);
         thread::spawn(move || {
-            scripted_agent(addr, &scenario, 1, site.as_deref(), 0, |stream, epoch| {
-                send_hostile_frames(stream, &scenario, 1, epoch)
-            })
+            scripted_agent(
+                addr,
+                &scenario,
+                1,
+                site.as_deref(),
+                0,
+                0,
+                |stream, epoch| send_hostile_frames(stream, &scenario, 1, epoch),
+            )
         })
     };
     let outcome = run();

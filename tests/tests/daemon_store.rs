@@ -13,11 +13,17 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use wolt_daemon::store::decode_snapshot;
-use wolt_daemon::{DaemonError, DaemonSnapshot, SnapshotCorrupt, SnapshotStore};
+use wolt_daemon::store::{decode_snapshot, DEFAULT_KEEP};
+use wolt_daemon::{
+    DaemonConfig, DaemonError, DaemonSnapshot, SessionEngine, SiteDef, SnapshotCorrupt,
+    SnapshotStore,
+};
+use wolt_sim::Scenario;
 use wolt_support::check::Runner;
 use wolt_support::rng::RngCore;
-use wolt_testbed::{ControllerConfig, ControllerCore, ControllerPolicy};
+use wolt_testbed::protocol::ToController;
+use wolt_testbed::{Agent, ControllerConfig, ControllerCore, ControllerPolicy, SessionEvent};
+use wolt_tests::{enterprise_scenario, lab_scenario};
 use wolt_units::Mbps;
 
 /// A distinguishable snapshot per generation: the epoch count differs,
@@ -244,4 +250,77 @@ fn damage_beyond_the_newest_generation_never_goes_unnoticed() {
                 verdict
             },
         );
+}
+
+/// The snapshot a daemon for `scenario` writes after its first four
+/// joins (every client joins in index order).
+fn stopped_after_four_joins(scenario: &Scenario) -> DaemonSnapshot {
+    let n_users = scenario.user_positions.len();
+    let mut core = ControllerCore::new(
+        n_users,
+        ControllerConfig {
+            policy: ControllerPolicy::Wolt,
+            estimated_capacities: scenario.capacities.clone(),
+            strict: false,
+        },
+    );
+    let mut present = vec![false; n_users];
+    let mut initial_attach = vec![None; n_users];
+    for i in 0..4 {
+        let epoch = i as u64;
+        let ToController::Report {
+            rates, attached, ..
+        } = Agent::from_scenario(scenario, i).on_join(epoch)
+        else {
+            unreachable!("a join answers with a report");
+        };
+        core.handle_report(i, epoch, &rates, attached).unwrap();
+        present[i] = true;
+        initial_attach[i] = Some(attached);
+    }
+    DaemonSnapshot {
+        epochs_done: 4,
+        present,
+        unresponsive: vec![false; n_users],
+        initial_attach,
+        retries: 0,
+        core: core.snapshot(),
+    }
+}
+
+#[test]
+fn a_snapshot_that_does_not_fit_the_site_is_refused_typed() {
+    // Same user count, different preset: 3 extenders in the lab, 15 in
+    // the enterprise. Each store verifies, but its attachments and rate
+    // vectors index another site's extenders.
+    let lab = lab_scenario(7, 1);
+    let enterprise = enterprise_scenario(7, 1);
+    for (from, into) in [(&lab, &enterprise), (&enterprise, &lab)] {
+        let dir = case_dir();
+        let _ = std::fs::remove_dir_all(&dir);
+        SnapshotStore::open_site(&dir, DEFAULT_KEEP, "")
+            .unwrap()
+            .save(&stopped_after_four_joins(from))
+            .unwrap();
+        let mut config = DaemonConfig::new(ControllerPolicy::Wolt);
+        config.snapshot_dir = Some(dir.clone());
+        let site = SiteDef {
+            id: String::new(),
+            scenario: into.clone(),
+            events: (0..7).map(SessionEvent::Join).collect(),
+            policy: ControllerPolicy::Wolt,
+            noise_seed: 0,
+            stop_after: None,
+        };
+        // Refused while the engine is built: before any agent connects,
+        // so before any command goes out.
+        let err = SessionEngine::new(site, &config)
+            .err()
+            .expect("a snapshot of another site's shape must be refused");
+        assert!(
+            matches!(err, DaemonError::Protocol { .. }),
+            "expected a protocol error, got {err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
