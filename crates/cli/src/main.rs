@@ -30,8 +30,8 @@ USAGE:
   wolt generate --preset <enterprise|lab> --users <N> [--seed S] [--output FILE]
   wolt solve    --input FILE [--policy <wolt|greedy|selfish|rssi|optimal|random>] [--seed S] [--threads T] [--explain true] [--output FILE]
   wolt compare  --input FILE [--seed S] [--threads T]
-  wolt serve    --addr HOST:PORT [--preset P] [--users N] [--seed S] [--policy <wolt|greedy|rssi>] [--noise-seed S] [--snapshot DIR] [--addr-file FILE] [--metrics-out FILE] [--linger-ms MS] [--coalesce on|off] [--output FILE]
-  wolt serve    --addr HOST:PORT --sites SPEC.json [--shards T] [--snapshot DIR] [--addr-file FILE] [--metrics-out FILE] [--linger-ms MS] [--coalesce on|off] [--output FILE]
+  wolt serve    --addr HOST:PORT [--preset P] [--users N] [--seed S] [--policy <wolt|greedy|rssi>] [--noise-seed S] [--snapshot DIR] [--addr-file FILE] [--metrics-out FILE] [--linger-ms MS] [--output FILE]
+  wolt serve    --addr HOST:PORT --sites SPEC.json [--shards T] [--snapshot DIR] [--addr-file FILE] [--metrics-out FILE] [--linger-ms MS] [--output FILE]
   wolt agent    --addr HOST:PORT --client I [--site ID] [--preset P] [--users N] [--seed S] [--name NAME] [--burst K]
   wolt fleet status --addr HOST:PORT [--output FILE]
   wolt fleet drain  --addr HOST:PORT --site ID
@@ -51,13 +51,13 @@ scenario from the same (--preset, --users, --seed), so no network file
 changes hands. Pass --addr 127.0.0.1:0 with --addr-file to let the OS
 pick a port and hand it to the agents.
 
-serve coalesces queued scan reports by default: whole consecutive runs
-of telemetry are drained off the session inbox, each client keeps only
-its newest frame (daemon.frames_coalesced counts the rest), and the
+serve reads queued scan reports in runs: whole consecutive runs of
+telemetry are drained off the session inbox, each client keeps only its
+newest frame (daemon.frames_coalesced counts the rest), and the
 controller plans once per run. Batching is structural, never
-time-based, so clean reports are byte-identical with --coalesce on or
-off. agent --burst K re-sends each scan report K times back-to-back to
-exercise that path.
+time-based, so a clean session reads one report at a time. agent
+--burst K re-sends each scan report K times back-to-back to exercise
+that path.
 
 metrics queries a live daemon's counters and histograms over the wire
 (a WOLT_OBS snapshot as JSON). serve's --metrics-out dumps the same
@@ -175,7 +175,6 @@ fn run<I: IntoIterator<Item = String>>(args: I) -> Result<(), CliError> {
                 addr_file: parsed.get("addr-file").map(Into::into),
                 metrics_out: parsed.get("metrics-out").map(Into::into),
                 linger: std::time::Duration::from_millis(parsed.get_parsed_or("linger-ms", 0u64)?),
-                coalesce: parse_coalesce(&parsed)?,
             };
             let text = service::serve_fleet(&opts)?;
             emit(&text, parsed.get("output"))?;
@@ -193,7 +192,6 @@ fn run<I: IntoIterator<Item = String>>(args: I) -> Result<(), CliError> {
                 addr_file: parsed.get("addr-file").map(Into::into),
                 metrics_out: parsed.get("metrics-out").map(Into::into),
                 linger: std::time::Duration::from_millis(parsed.get_parsed_or("linger-ms", 0u64)?),
-                coalesce: parse_coalesce(&parsed)?,
             };
             let text = service::serve(&opts)?;
             emit(&text, parsed.get("output"))?;
@@ -253,17 +251,6 @@ fn run<I: IntoIterator<Item = String>>(args: I) -> Result<(), CliError> {
         }
         other => Err(CliError::Usage {
             message: format!("unknown subcommand {other:?}"),
-        }),
-    }
-}
-
-/// Parses the `--coalesce on|off` serve flag; defaults to on.
-fn parse_coalesce(parsed: &ParsedArgs) -> Result<bool, CliError> {
-    match parsed.get("coalesce").unwrap_or("on") {
-        "on" => Ok(true),
-        "off" => Ok(false),
-        other => Err(CliError::Usage {
-            message: format!("--coalesce must be `on` or `off`, not `{other}`"),
         }),
     }
 }

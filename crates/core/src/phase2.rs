@@ -314,7 +314,7 @@ fn polish(
     Ok(())
 }
 
-/// Warm-started re-solve: coordinate-ascent [`polish`] of an existing
+/// Warm-started re-solve: coordinate-ascent `polish` of an existing
 /// *complete* association, with every user movable. Where a cold solve
 /// rebuilds the assignment from scratch (Phase I + Phase II), this
 /// starts from `start` — typically the previous epoch's plan under

@@ -23,13 +23,14 @@
 //! The join/leave retransmit loop is the shared sans-I/O [`Harness`] and
 //! the directive retransmit loop the shared [`Transaction`]; the engine
 //! only writes their commands and transmissions to sockets and handles
-//! what else the inbox delivers.
-//! Every protocol message is checked against the site's dimensions
-//! before it reaches the core: a frame that would index out of range or
-//! poison planning with a non-finite rate is dropped and counted in
-//! `daemon.frames_rejected`.
+//! what else the inbox delivers, which it reads in one place.
+//! Every protocol message is checked against the site's dimensions and
+//! the harness's event cursor before it reaches the core: a frame that
+//! would index out of range, poison planning with a non-finite rate, or
+//! name an event other than a past one or the current one's own is
+//! dropped and counted in `daemon.frames_rejected`.
 
-use std::io::Write as _;
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
@@ -75,7 +76,7 @@ const WAIT_TICK: Duration = Duration::from_millis(25);
 
 /// Wire-traffic metering: the reader tasks account every frame and byte
 /// that crosses the daemon's sockets, inbound.
-pub fn note_frame_in(bytes: usize) {
+fn note_frame_in(bytes: usize) {
     static FRAMES: std::sync::OnceLock<obs::Counter> = std::sync::OnceLock::new();
     static BYTES: std::sync::OnceLock<obs::Counter> = std::sync::OnceLock::new();
     FRAMES
@@ -86,16 +87,24 @@ pub fn note_frame_in(bytes: usize) {
         .add(bytes as u64);
 }
 
-/// Wire-traffic metering, outbound twin of [`note_frame_in`].
-pub fn note_frame_out(bytes: usize) {
+/// Writes one server-side frame and meters it outbound
+/// (`daemon.frames_out`, `daemon.bytes_out`): every frame the daemon
+/// sends goes through here.
+///
+/// # Errors
+///
+/// Propagates the write failure; a failed frame is not counted.
+pub(crate) fn send_metered(w: &mut impl Write, envelope: &Envelope) -> std::io::Result<()> {
     static FRAMES: std::sync::OnceLock<obs::Counter> = std::sync::OnceLock::new();
     static BYTES: std::sync::OnceLock<obs::Counter> = std::sync::OnceLock::new();
+    let sent = wire::send_counted(w, envelope)?;
     FRAMES
         .get_or_init(|| obs::counter("daemon.frames_out"))
         .inc();
     BYTES
         .get_or_init(|| obs::counter("daemon.bytes_out"))
-        .add(bytes as u64);
+        .add(sent as u64);
+    Ok(())
 }
 
 /// Whether the inbox shed policy may drop a queued message under
@@ -104,28 +113,6 @@ pub fn note_frame_out(bytes: usize) {
 /// load-bearing — dropping one would wedge a transaction or the session.
 pub fn incoming_sheddable(msg: &Incoming) -> bool {
     matches!(msg, Incoming::Msg(ToController::Report { .. }))
-}
-
-/// Converts a drained run of sheddable messages into core report frames.
-/// The inbox only batches consecutive messages matching
-/// [`incoming_sheddable`], so everything here is a scan report.
-fn report_frames(run: Vec<Incoming>) -> Vec<ReportFrame> {
-    run.into_iter()
-        .filter_map(|m| match m {
-            Incoming::Msg(ToController::Report {
-                client,
-                epoch,
-                rates,
-                attached,
-            }) => Some(ReportFrame {
-                client,
-                epoch,
-                rates,
-                attached,
-            }),
-            _ => None,
-        })
-        .collect()
 }
 
 /// Everything a reader task can feed a session engine.
@@ -153,9 +140,9 @@ pub enum Incoming {
 
 /// What one inbox receive leaves for the session loop.
 enum Input {
-    /// A run of two or more scan reports (coalescing on).
+    /// A run of one or more scan reports.
     Reports(Vec<ReportFrame>),
-    /// One protocol message.
+    /// One departure notice or directive ack.
     Msg(ToController),
     /// An operator stop request.
     Stop(String),
@@ -371,66 +358,63 @@ impl SessionEngine {
         }
     }
 
-    /// One connect-wait poll, mirroring the pre-refactor
-    /// `wait_for_agents` one bounded receive at a time.
+    /// One connect-wait poll: one bounded [`recv_input`](Self::recv_input),
+    /// which applies registrations, lost connections and stop requests
+    /// and checks (then drops) anything an agent says before its first
+    /// command. `Progressed` once a registration or a stop moved the
+    /// site on.
     fn step_wait(&mut self, deadline: Option<Instant>) -> Result<EngineStep, DaemonError> {
         let deadline = deadline.unwrap_or_else(|| Instant::now() + self.config.connect_deadline);
         self.phase = Phase::Waiting {
             deadline: Some(deadline),
         };
-        if !self.writers.iter().any(Option::is_none) {
-            self.start_driving();
-            return Ok(EngineStep::Progressed);
-        }
-        let wait = deadline
-            .saturating_duration_since(Instant::now())
-            .min(WAIT_TICK);
-        match self.rx.recv_timeout(wait) {
-            Ok(Incoming::Register { client, writer }) => {
-                self.writers[client] = Some(writer);
-                if !self.writers.iter().any(Option::is_none) {
-                    self.start_driving();
-                }
-                Ok(EngineStep::Progressed)
-            }
-            Ok(Incoming::Gone { client }) => {
-                self.writers[client] = None;
-                Ok(EngineStep::Waiting)
-            }
-            Ok(Incoming::Stop { reason }) => {
+        let missing = self.missing().len();
+        if missing > 0 {
+            let wait = deadline
+                .saturating_duration_since(Instant::now())
+                .min(WAIT_TICK);
+            match self.recv_input(wait) {
                 // An operator may stop a session that never assembled
                 // (that is how a fleet drains a site whose agents are
                 // yet to connect): proceed to the driving phase, whose
                 // first event observes the stop reason and ends the run.
-                self.stop_reason = Some(reason);
-                self.start_driving();
-                Ok(EngineStep::Progressed)
-            }
-            Ok(Incoming::Msg(_)) => {
-                // Agents do not speak before their first command; drop
-                // pre-session noise.
-                self.msgs_in += 1;
-                Ok(EngineStep::Waiting)
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if Instant::now() >= deadline {
-                    let missing: Vec<usize> = self
-                        .writers
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, w)| w.is_none().then_some(i))
-                        .collect();
+                Ok(Some(Input::Stop(reason))) => self.stop_reason = Some(reason),
+                // Agents do not speak before their first command:
+                // pre-session noise is dropped.
+                Ok(_) => {}
+                Err(RecvTimeoutError::Timeout) if Instant::now() >= deadline => {
                     return Err(DaemonError::Timeout {
-                        waiting_for: format!("agents {missing:?} to connect"),
+                        waiting_for: format!("agents {:?} to connect", self.missing()),
                     });
                 }
-                Ok(EngineStep::Waiting)
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Err(TestbedError::ChannelClosed {
+                        endpoint: "acceptor",
+                    }
+                    .into())
+                }
             }
-            Err(RecvTimeoutError::Disconnected) => Err(TestbedError::ChannelClosed {
-                endpoint: "acceptor",
-            }
-            .into()),
         }
+        let now_missing = self.missing().len();
+        if now_missing > 0 && self.stop_reason.is_none() {
+            return Ok(if now_missing < missing {
+                EngineStep::Progressed
+            } else {
+                EngineStep::Waiting
+            });
+        }
+        self.start_driving();
+        Ok(EngineStep::Progressed)
+    }
+
+    /// The clients with no registered connection.
+    fn missing(&self) -> Vec<usize> {
+        self.writers
+            .iter()
+            .enumerate()
+            .filter_map(|(i, w)| w.is_none().then_some(i))
+            .collect()
     }
 
     /// Leaves the connect wait: drive events, unless a restored engine
@@ -609,7 +593,7 @@ pub(crate) fn prepare_site(
 /// registration is dismissed, anything else discarded.
 fn dismiss_stray(msg: Incoming) {
     if let Incoming::Register { mut writer, .. } = msg {
-        let _ = wire::send(&mut writer, &Envelope::Agent(ToAgent::Shutdown));
+        let _ = send_metered(&mut writer, &Envelope::Agent(ToAgent::Shutdown));
     }
 }
 
@@ -665,22 +649,30 @@ pub fn serve_connection(
     } else {
         0
     };
-    let recv = |stream: &mut TcpStream| -> std::io::Result<Option<(Envelope, usize)>> {
-        if !patient {
-            return wire::recv_counted(stream);
-        }
-        let mut keep_waiting = || !stop.load(Ordering::Relaxed);
-        let mut patience = ReadPatience {
-            keep_waiting: &mut keep_waiting,
-            mid_frame_stalls,
+    // Every decoded frame is metered inbound here, whatever its fate.
+    let recv = |stream: &mut TcpStream| -> std::io::Result<Option<Envelope>> {
+        let result = if patient {
+            let mut keep_waiting = || !stop.load(Ordering::Relaxed);
+            let mut patience = ReadPatience {
+                keep_waiting: &mut keep_waiting,
+                mid_frame_stalls,
+            };
+            wire::recv_counted_patient(stream, &mut patience)
+        } else {
+            wire::recv_counted(stream)
         };
-        let result = wire::recv_counted_patient(stream, &mut patience);
-        if let Err(e) = &result {
-            if e.kind() == std::io::ErrorKind::TimedOut {
-                obs::counter_inc("daemon.read_timeouts");
+        match result {
+            Ok(frame) => Ok(frame.map(|(envelope, bytes)| {
+                note_frame_in(bytes);
+                envelope
+            })),
+            Err(e) => {
+                if e.kind() == std::io::ErrorKind::TimedOut {
+                    obs::counter_inc("daemon.read_timeouts");
+                }
+                Err(e)
             }
         }
-        result
     };
     // Pre-handshake: the connection is a control channel until it sends
     // `Hello`. Control connections may issue any number of metrics or
@@ -688,39 +680,31 @@ pub fn serve_connection(
     // session-loop writer shares this stream yet) and/or a stop request.
     let (client, tx) = loop {
         match recv(&mut stream) {
-            Ok(Some((Envelope::Hello { client, site, .. }, bytes))) => {
+            Ok(Some(Envelope::Hello { client, site, .. })) => {
                 match route(client, site.as_deref()) {
                     HelloDecision::Accept { sender, attached } => {
-                        note_frame_in(bytes);
-                        match wire::send_counted(&mut stream, &Envelope::HelloAck { attached }) {
-                            Ok(sent) => note_frame_out(sent),
-                            Err(_) => return,
+                        if send_metered(&mut stream, &Envelope::HelloAck { attached }).is_err() {
+                            return;
                         }
                         break (client, sender);
                     }
                     HelloDecision::Dismiss { attached } => {
-                        note_frame_in(bytes);
                         let dismissal = Envelope::Agent(ToAgent::Shutdown);
                         for reply in [Envelope::HelloAck { attached }, dismissal] {
-                            match wire::send_counted(&mut stream, &reply) {
-                                Ok(sent) => note_frame_out(sent),
-                                Err(_) => return,
+                            if send_metered(&mut stream, &reply).is_err() {
+                                return;
                             }
                         }
                         return;
                     }
                     HelloDecision::Reject(reply) => {
-                        note_frame_in(bytes);
-                        if let Ok(sent) = wire::send_counted(&mut stream, &reply) {
-                            note_frame_out(sent);
-                        }
+                        let _ = send_metered(&mut stream, &reply);
                         return;
                     }
                     HelloDecision::Close => return,
                 }
             }
-            Ok(Some((envelope, bytes))) => {
-                note_frame_in(bytes);
+            Ok(Some(envelope)) => {
                 if !control(&mut stream, envelope) {
                     return;
                 }
@@ -737,8 +721,7 @@ pub fn serve_connection(
     }
     loop {
         match recv(&mut stream) {
-            Ok(Some((Envelope::Ctrl(msg), bytes))) => {
-                note_frame_in(bytes);
+            Ok(Some(Envelope::Ctrl(msg))) => {
                 // A connection speaks only for the client its hello
                 // named: a frame claiming another client is dropped.
                 if msg_client(&msg) != client {
@@ -749,16 +732,14 @@ pub fn serve_connection(
                     return;
                 }
             }
-            Ok(Some((Envelope::Shutdown { reason }, bytes))) => {
-                note_frame_in(bytes);
+            Ok(Some(Envelope::Shutdown { reason })) => {
                 obs::trace("daemon", format!("operator stop: {reason}"));
                 let _ = tx.send(Incoming::Stop { reason });
             }
-            Ok(Some((Envelope::MetricsRequest, bytes))) => {
+            Ok(Some(Envelope::MetricsRequest)) => {
                 // A registered agent connection shares its write half
                 // with the session loop; replying here could interleave
                 // frames. Count and drop.
-                note_frame_in(bytes);
                 obs::counter_inc("daemon.metrics_requests");
             }
             Ok(Some(_)) | Ok(None) | Err(_) => {
@@ -819,14 +800,8 @@ pub fn spawn_acceptor(
                         obs::counter_inc("daemon.conns_rejected");
                         pool.execute(move || {
                             let _ = stream.set_nodelay(true);
-                            if let Ok(sent) = wire::send_counted(
-                                &mut stream,
-                                &Envelope::Busy {
-                                    limit: max_connections as u64,
-                                },
-                            ) {
-                                note_frame_out(sent);
-                            }
+                            let limit = max_connections as u64;
+                            let _ = send_metered(&mut stream, &Envelope::Busy { limit });
                         });
                         continue;
                     }
@@ -875,6 +850,24 @@ fn fits_site(msg: &ToController, n_users: usize, n_extenders: usize) -> bool {
     }
 }
 
+/// Whether a protocol message fits the session's event cursor: the
+/// harness is on event `epoch`, for `owner` (`None` past the last
+/// event). A report or departure may repeat an older event, but never
+/// name a later one — the core would take it as a new event and move
+/// its duplicate watermark past every honest report — nor claim the
+/// current event for another client. Acks carry no epoch.
+fn fits_event(msg: &ToController, epoch: u64, owner: Option<usize>) -> bool {
+    match *msg {
+        ToController::Report {
+            client, epoch: e, ..
+        }
+        | ToController::Departed { client, epoch: e } => {
+            e < epoch || (e == epoch && owner == Some(client))
+        }
+        ToController::Ack { .. } => true,
+    }
+}
+
 impl SessionEngine {
     /// Drives one join/leave event: carry each of the harness's
     /// commands to the agent, process the resulting report/departure
@@ -896,7 +889,6 @@ impl SessionEngine {
                 let wait = deadline.saturating_duration_since(Instant::now());
                 let done = match self.recv_input(wait) {
                     Ok(None) => None,
-                    // Coalesce and plan once for the whole burst.
                     Ok(Some(Input::Reports(frames))) => self.process_report_run(frames)?,
                     Ok(Some(Input::Msg(msg))) => self.process_event_msg(msg)?,
                     Ok(Some(Input::Stop(reason))) => {
@@ -919,8 +911,9 @@ impl SessionEngine {
         Ok(EventEnd::Unresponsive)
     }
 
-    /// Feeds one protocol message through the core; returns the epoch of
-    /// a completed event transaction, if this message triggered one.
+    /// Feeds a departure notice or an ack through the core; returns the
+    /// epoch of a completed event transaction, if this message
+    /// triggered one.
     fn process_event_msg(&mut self, msg: ToController) -> Result<Option<u64>, DaemonError> {
         let t0 = Instant::now();
         let Some((epoch, planned)) = self.core.handle_message(msg) else {
@@ -931,56 +924,55 @@ impl SessionEngine {
         Ok(Some(epoch))
     }
 
-    /// Receives from the inbox: a consecutive run of coalescible scan
-    /// reports when coalescing is on, exactly one message when it is
-    /// off. Batching is structural (drain-what's-queued), never
-    /// time-based, so a clean serialized session — where at most one
-    /// report is ever queued — behaves identically either way. Messages
-    /// that do not fit the site are dropped here and counted in
-    /// `daemon.frames_rejected`; registrations and lost connections are
-    /// applied here. `None` when nothing is left for the session loop.
+    /// The one place session input is read from the inbox. Takes the
+    /// next message, or a consecutive run of queued scan reports
+    /// (drain-what's-queued: structural, never time-based, so a clean
+    /// serialized session reads one report at a time). Registrations and
+    /// lost connections are applied here. A message that does not fit
+    /// the site ([`fits_site`]) or the event cursor ([`fits_event`]) is
+    /// dropped and counted once in `daemon.frames_rejected`; every other
+    /// one counts in `msgs_in`. `None` when nothing is left for the
+    /// session loop.
     fn recv_input(&mut self, wait: Duration) -> Result<Option<Input>, RecvTimeoutError> {
-        let mut run = if self.config.coalesce {
-            self.rx.recv_batch_timeout(wait, incoming_sheddable)?
-        } else {
-            vec![self.rx.recv_timeout(wait)?]
-        };
-        run.retain(|m| match m {
-            Incoming::Msg(msg)
-                if !fits_site(
-                    msg,
-                    self.writers.len(),
-                    self.scenario.extender_positions.len(),
-                ) =>
-            {
-                obs::counter_inc("daemon.frames_rejected");
-                false
-            }
-            _ => true,
-        });
-        if run.len() > 1 {
-            // A multi-message drain is, by construction, a consecutive
-            // run of scan reports.
-            self.msgs_in += run.len();
-            return Ok(Some(Input::Reports(report_frames(run))));
-        }
-        Ok(match run.pop() {
-            Some(Incoming::Msg(msg)) => {
-                self.msgs_in += 1;
-                Some(Input::Msg(msg))
-            }
-            Some(Incoming::Stop { reason }) => Some(Input::Stop(reason)),
-            Some(Incoming::Register { client, writer }) => {
-                self.writers[client] = Some(writer);
-                None
-            }
-            Some(Incoming::Gone { client }) => {
+        let run = self.rx.recv_batch_timeout(wait, incoming_sheddable)?;
+        let n_extenders = self.scenario.extender_positions.len();
+        let cursor = self.harness.state().epochs_done as u64;
+        let owner = self.harness.current().map(|event| event.client);
+        let mut reports = Vec::new();
+        let mut input = None;
+        for incoming in run {
+            match incoming {
+                Incoming::Msg(msg)
+                    if !fits_site(&msg, self.writers.len(), n_extenders)
+                        || !fits_event(&msg, cursor, owner) =>
+                {
+                    obs::counter_inc("daemon.frames_rejected");
+                }
+                Incoming::Msg(ToController::Report {
+                    client,
+                    epoch,
+                    rates,
+                    attached,
+                }) => reports.push(ReportFrame {
+                    client,
+                    epoch,
+                    rates,
+                    attached,
+                }),
+                Incoming::Msg(msg) => input = Some(Input::Msg(msg)),
+                Incoming::Stop { reason } => input = Some(Input::Stop(reason)),
+                Incoming::Register { client, writer } => self.writers[client] = Some(writer),
                 // Mid-transaction, the ack deadline machinery turns a
                 // dead connection into a declared-dead client.
-                self.writers[client] = None;
-                None
+                Incoming::Gone { client } => self.writers[client] = None,
             }
-            None => None,
+        }
+        // A run is either scan reports only or one other message.
+        self.msgs_in += reports.len() + usize::from(matches!(input, Some(Input::Msg(_))));
+        Ok(if reports.is_empty() {
+            input
+        } else {
+            Some(Input::Reports(reports))
         })
     }
 
@@ -995,10 +987,10 @@ impl SessionEngine {
         }
     }
 
-    /// Feeds a drained run of scan reports through the core as one
-    /// batch: coalesce each client to its newest frame, ingest the
-    /// survivors, plan once, transact once. Returns the epoch of the
-    /// completed event transaction, if the batch contained one.
+    /// Feeds a run of scan reports through the core as one batch:
+    /// coalesce each client to its newest frame, ingest the survivors,
+    /// plan once, transact once. Returns the epoch of the completed
+    /// event transaction, if the batch contained one.
     fn process_report_run(&mut self, frames: Vec<ReportFrame>) -> Result<Option<u64>, DaemonError> {
         let (kept, dropped) = coalesce_frames(frames);
         self.note_coalesced(dropped);
@@ -1040,10 +1032,9 @@ impl SessionEngine {
                     return Err(TestbedError::ChannelClosed { endpoint: "client" }.into())
                 }
                 Ok(Some(Input::Reports(frames))) => {
-                    // A run of reports mid-transaction: retransmissions
-                    // of the current (or an older) event, consumed
-                    // silently as a single one is — minus the stale
-                    // copies, which count as coalesced.
+                    // Reports mid-transaction: retransmissions of the
+                    // current (or an older) event, consumed silently —
+                    // the stale copies count as coalesced.
                     for frame in &frames {
                         txn.on_event(frame.epoch)?;
                     }
@@ -1076,9 +1067,8 @@ impl SessionEngine {
             attempt: t.attempt,
         });
         if let Some(w) = self.writers[t.client].as_mut() {
-            match wire::send_counted(w, &env) {
-                Ok(sent) => note_frame_out(sent),
-                Err(_) => self.writers[t.client] = None,
+            if send_metered(w, &env).is_err() {
+                self.writers[t.client] = None;
             }
         }
     }
@@ -1086,29 +1076,21 @@ impl SessionEngine {
     /// Sends one harness command; `false` when the client has no usable
     /// connection.
     fn send_agent(&mut self, client: usize, cmd: ToAgent) -> bool {
-        let env = Envelope::Agent(cmd);
-        match self.writers[client].as_mut() {
-            Some(w) => match wire::send_counted(w, &env) {
-                Ok(sent) => {
-                    note_frame_out(sent);
-                    true
-                }
-                Err(_) => {
-                    self.writers[client] = None;
-                    false
-                }
-            },
-            None => false,
+        let Some(w) = self.writers[client].as_mut() else {
+            return false;
+        };
+        let sent = send_metered(w, &Envelope::Agent(cmd)).is_ok();
+        if !sent {
+            self.writers[client] = None;
         }
+        sent
     }
 
     /// Tells every connected agent to exit (so sockets close and reader
     /// tasks drain) and flushes the writers.
     fn shutdown_agents(&mut self) {
         for w in self.writers.iter_mut().flatten() {
-            if let Ok(sent) = wire::send_counted(w, &Envelope::Agent(ToAgent::Shutdown)) {
-                note_frame_out(sent);
-            }
+            let _ = send_metered(w, &Envelope::Agent(ToAgent::Shutdown));
             let _ = w.flush();
         }
     }
@@ -1154,5 +1136,35 @@ mod tests {
         assert!(fits(&ack(0, 1)));
         assert!(!fits(&ack(0, 2)), "ack names an extender out of range");
         assert!(!fits(&ack(5, 0)), "ack from a foreign client");
+    }
+
+    #[test]
+    fn only_frames_of_the_current_event_or_an_older_one_pass() {
+        // The harness drives event 3, for client 1.
+        let fits = |msg: &ToController| fits_event(msg, 3, Some(1));
+        let at = |client, epoch| ToController::Report {
+            client,
+            epoch,
+            rates: vec![Some(Mbps::new(10.0))],
+            attached: 0,
+        };
+        let gone = |client, epoch| ToController::Departed { client, epoch };
+        assert!(fits(&at(1, 3)), "the event's own report");
+        assert!(fits(&gone(1, 3)), "the event's own departure");
+        assert!(fits(&at(0, 2)), "an older event's retransmission");
+        assert!(fits(&gone(2, 0)), "an older event's retransmission");
+        assert!(!fits(&at(1, 4)), "a future report");
+        assert!(!fits(&gone(1, 4)), "a future departure");
+        assert!(!fits(&at(0, 3)), "the current event, foreign client");
+        assert!(!fits(&gone(2, 3)), "the current event, foreign client");
+        let ack = ToController::Ack {
+            client: 0,
+            seq: 9,
+            extender: 0,
+        };
+        assert!(fits(&ack), "acks carry no epoch");
+        // Past the last event, only older epochs pass.
+        assert!(fits_event(&at(1, 2), 3, None));
+        assert!(!fits_event(&at(1, 3), 3, None));
     }
 }

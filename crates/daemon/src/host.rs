@@ -43,7 +43,7 @@ use wolt_testbed::{ControllerPolicy, SessionEvent};
 
 use crate::engine::{self, EngineStep, SessionEngine};
 use crate::router::FleetRouter;
-use crate::wire::{self, Envelope, FleetOp, SiteSpec};
+use crate::wire::{Envelope, FleetOp, SiteSpec};
 use crate::{shard, spec, DaemonConfig, DaemonError, DaemonOutcome};
 
 /// How long a shard waits for a finished site's reader tasks to drain
@@ -340,13 +340,7 @@ fn ack(op: &FleetOp, result: Result<(), String>) -> Envelope {
 
 /// Sends a control reply; `false` (stop serving) on a dead connection.
 fn send_reply(stream: &mut TcpStream, reply: &Envelope) -> bool {
-    match wire::send_counted(stream, reply) {
-        Ok(sent) => {
-            engine::note_frame_out(sent);
-            true
-        }
-        Err(_) => false,
-    }
+    engine::send_metered(stream, reply).is_ok()
 }
 
 /// Builds a site's engine (restoring any prior snapshot under the

@@ -118,14 +118,6 @@ pub struct DaemonConfig {
     /// dropped (idle between frames is always allowed). `Duration::ZERO`
     /// disables the deadline (fully blocking reads, as before).
     pub read_stall: Duration,
-    /// Drain-what's-queued telemetry coalescing: the session engine
-    /// takes whole consecutive runs of queued scan reports off the
-    /// inbox, keeps each client's newest (`daemon.frames_coalesced`
-    /// counts the rest), and plans once per run. Batching is structural,
-    /// never time-based, so a clean serialized session — at most one
-    /// report queued at a time — is byte-identical with it on or off.
-    /// On by default.
-    pub coalesce: bool,
     /// Shard threads stepping the hosted sites; `0` resolves like the
     /// rest of the workspace (`WOLT_THREADS`, then available
     /// parallelism). A single-site daemon never uses more than one.
@@ -148,7 +140,6 @@ impl DaemonConfig {
             max_connections: 0,
             inbox_cap: 0,
             read_stall: Duration::from_secs(5),
-            coalesce: true,
             shards: 0,
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! The WOLT paper cites Mills-Tettey, Stentz & Dias, *"The dynamic
 //! Hungarian algorithm for the assignment problem with changing costs"*
-//! (its reference [25]) as the way to keep Phase I cheap under churn:
+//! (its reference \[25\]) as the way to keep Phase I cheap under churn:
 //! when one user arrives, departs, or changes its rates, the optimal
 //! matching can be **repaired** with a single augmentation instead of a
 //! full O(n³) re-solve.

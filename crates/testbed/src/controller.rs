@@ -201,13 +201,20 @@ impl ControllerCore {
         rates: &[Option<Mbps>],
         attached: usize,
     ) -> Result<Vec<Directive>, TestbedError> {
+        self.ingest(client, epoch, rates, attached);
+        self.plan(Some(client), false)
+    }
+
+    /// The per-frame bookkeeping of a scan report: opens its epoch,
+    /// records the rates, and marks the client attached and alive with
+    /// no outstanding directive.
+    fn ingest(&mut self, client: usize, epoch: u64, rates: &[Option<Mbps>], attached: usize) {
         obs::counter_inc("cc.reports");
         self.begin_epoch(epoch);
         self.telemetry.record(client, epoch, rates);
         self.association[client] = Some(attached);
         self.dead[client] = false;
         self.latest_seq[client] = None;
-        self.plan(Some(client))
     }
 
     /// Ingests a drained batch of scan reports and plans **once**: each
@@ -239,13 +246,7 @@ impl ControllerCore {
             if self.is_duplicate(frame.epoch) {
                 continue;
             }
-            obs::counter_inc("cc.reports");
-            self.begin_epoch(frame.epoch);
-            self.telemetry
-                .record(frame.client, frame.epoch, &frame.rates);
-            self.association[frame.client] = Some(frame.attached);
-            self.dead[frame.client] = false;
-            self.latest_seq[frame.client] = None;
+            self.ingest(frame.client, frame.epoch, &frame.rates, frame.attached);
             ingested += 1;
             last = Some((frame.client, frame.epoch));
         }
@@ -256,7 +257,7 @@ impl ControllerCore {
                 last_epoch: None,
             });
         };
-        let directives = self.plan_with(Some(arriving), ingested > 1)?;
+        let directives = self.plan(Some(arriving), ingested > 1)?;
         Ok(BatchOutcome {
             directives,
             ingested,
@@ -283,7 +284,7 @@ impl ControllerCore {
         self.dead[client] = false;
         self.latest_seq[client] = None;
         if self.config.policy == ControllerPolicy::Wolt {
-            self.plan(None)
+            self.plan(None, false)
         } else {
             Ok(Vec::new())
         }
@@ -351,22 +352,16 @@ impl ControllerCore {
         self.association[client] = None;
         self.latest_seq[client] = None;
         self.declared_dead.push(client);
-        self.plan(None)
+        self.plan(None, false)
     }
 
     /// Runs the policy on the telemetry view and returns a directive for
     /// every live client whose target changed, in ascending client
     /// order. Assigns sequence numbers and counts issued directives.
-    fn plan(&mut self, arriving: Option<usize>) -> Result<Vec<Directive>, TestbedError> {
-        self.plan_with(arriving, false)
-    }
-
-    /// [`plan`](Self::plan) with an explicit warm-start permission:
     /// `warm` lets WOLT re-polish the previous complete association
-    /// instead of re-solving from scratch. Only merged report batches
-    /// pass `true`; every single-event path stays cold so its decisions
-    /// are bit-for-bit those of the pre-batching controller.
-    fn plan_with(
+    /// instead of re-solving from scratch; only merged report batches
+    /// pass `true`, so every single-event plan is cold.
+    fn plan(
         &mut self,
         arriving: Option<usize>,
         warm: bool,

@@ -257,8 +257,10 @@ impl Harness {
         })
     }
 
-    /// The event at the cursor, if it names a client of this site.
-    fn current(&self) -> Option<HarnessEvent> {
+    /// The event at the cursor, if it names a client of this site: the
+    /// event being driven, once [`next_event`](Self::next_event)
+    /// returned it.
+    pub fn current(&self) -> Option<HarnessEvent> {
         self.at_cursor()
             .filter(|event| event.client < self.state.present.len())
     }

@@ -29,9 +29,9 @@
 //! * a client that misses its whole ack retry budget is declared dead:
 //!   the CC forgets its telemetry and re-optimizes the survivors instead
 //!   of stranding the transaction;
-//! * the CC plans on a [`TelemetryCache`] of last-known-good smoothed
-//!   rates, and degrades to the previous association when a solve fails
-//!   mid-faults instead of panicking.
+//! * the CC plans on a [`TelemetryCache`](wolt_core::TelemetryCache) of
+//!   last-known-good smoothed rates, and degrades to the previous
+//!   association when a solve fails mid-faults instead of panicking.
 //!
 //! The outcome of a faulty session is deterministic for a fixed scenario,
 //! seed, and plan (see [`crate::faults`]): fault decisions are keyed by

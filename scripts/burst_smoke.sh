@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Burst-telemetry smoke test for the wolt daemon: boot the Central
-# Controller with coalescing on (the default), connect one agent per
-# user with --burst so every scan report is re-sent back-to-back, and
-# require a clean converged session whose metrics show the coalescer
-# actually dropped stale burst copies (daemon.frames_coalesced > 0).
+# Controller, connect one agent per user with --burst so every scan
+# report is re-sent back-to-back, and require a clean converged session
+# whose metrics show the coalescer actually dropped stale burst copies
+# (daemon.frames_coalesced > 0).
 # Used by CI (with a hard timeout and WOLT_THREADS=2) and runnable
 # locally:
 #
@@ -31,7 +31,7 @@ counter() {
 }
 
 "$BIN" serve --addr 127.0.0.1:0 --preset lab --users "$USERS" --seed "$SEED" \
-    --coalesce on --addr-file "$WORK/addr" --output "$WORK/report.json" \
+    --addr-file "$WORK/addr" --output "$WORK/report.json" \
     --metrics-out "$METRICS_OUT" &
 SERVE_PID=$!
 

@@ -5,7 +5,9 @@
 //! non-finite rate, or a rate vector of the wrong length must be dropped
 //! and counted in `daemon.frames_rejected` — never reach the controller
 //! core, never panic the session, never change an honest client's
-//! outcome. The suite also pins how a single-site daemon answers the
+//! outcome. So must a report or departure naming a later event than the
+//! one being driven, and any frame an agent sends before the session
+//! starts that does not fit the site. The suite also pins how a single-site daemon answers the
 //! fleet-only parts of the wire: a sited hello gets `site_gone`, a fleet
 //! operation gets `fleet_ack{ok:false}`.
 
@@ -13,7 +15,7 @@ use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use wolt_daemon::wire::{self, FleetOp};
 use wolt_daemon::{run_agent, run_site_agent, AgentRetry, Daemon, DaemonConfig, Envelope, Fleet};
@@ -86,6 +88,30 @@ fn send_hostile_frames(
     wire::send(stream, &report(client, long, 0))
 }
 
+/// Client 1's report and departure for the event after its join (epoch
+/// `epoch`), the frames a registered agent could use to end every honest
+/// client's session.
+fn send_future_frames(stream: &mut TcpStream, scenario: &Scenario, epoch: u64) -> io::Result<()> {
+    let n_ext = scenario.extender_positions.len();
+    let future = epoch + 1;
+    let report = ToController::Report {
+        client: 1,
+        epoch: future,
+        rates: (0..n_ext).map(|j| scenario.rate(1, j)).collect(),
+        attached: 0,
+    };
+    wire::send(stream, &Envelope::Ctrl(report))?;
+    let departed = ToController::Departed {
+        client: 1,
+        epoch: future,
+    };
+    wire::send(stream, &Envelope::Ctrl(departed))
+}
+
+/// What scripted client 1 sends right before its honest join report,
+/// given the join's epoch.
+type Frames = fn(&mut TcpStream, &Scenario, u64) -> io::Result<()>;
+
 /// Client 0 is the product agent; client 1 is scripted to send the four
 /// hostile frames right before its honest join report. `site` routes
 /// both to a fleet site.
@@ -93,6 +119,20 @@ fn serve_with_hostile_client(
     addr: SocketAddr,
     scenario: &Scenario,
     site: Option<&str>,
+    run: impl FnOnce() -> DaemonOutcome,
+) -> DaemonOutcome {
+    let hostile: Frames = |stream, scenario, epoch| send_hostile_frames(stream, scenario, 1, epoch);
+    serve_with_scripted_client(addr, scenario, site, hostile, run)
+}
+
+/// Client 0 is the product agent; client 1 is scripted to send `frames`
+/// right before its honest join report. `site` routes both to a fleet
+/// site.
+fn serve_with_scripted_client(
+    addr: SocketAddr,
+    scenario: &Scenario,
+    site: Option<&str>,
+    frames: Frames,
     run: impl FnOnce() -> DaemonOutcome,
 ) -> DaemonOutcome {
     let honest = {
@@ -116,7 +156,7 @@ fn serve_with_hostile_client(
                 site.as_deref(),
                 0,
                 0,
-                |stream, epoch| send_hostile_frames(stream, &scenario, 1, epoch),
+                |stream, epoch| frames(stream, &scenario, epoch),
             )
         })
     };
@@ -203,6 +243,137 @@ fn hostile_frames_are_rejected_at_a_fleet_site_too() {
         4,
         "each hostile frame counted once"
     );
+    assert_eq!(outcome.report.canonical(), reference(&scenario));
+}
+
+/// A single-site daemon session of `scenario` with scripted client 1
+/// sending `frames`.
+fn daemon_session(scenario: &Scenario, frames: Frames) -> DaemonOutcome {
+    let mut config = DaemonConfig::new(ControllerPolicy::Wolt);
+    config.noise_seed = NOISE_SEED;
+    let daemon = Daemon::bind("127.0.0.1:0", scenario.clone(), events(), config).unwrap();
+    let addr = daemon.local_addr().unwrap();
+    serve_with_scripted_client(addr, scenario, None, frames, || {
+        daemon.run().expect("the session survives")
+    })
+}
+
+/// [`daemon_session`] at the one site of a fleet.
+fn fleet_session(scenario: &Scenario, frames: Frames) -> DaemonOutcome {
+    let def = SiteDef {
+        id: "floor-1".into(),
+        scenario: scenario.clone(),
+        events: events(),
+        policy: ControllerPolicy::Wolt,
+        noise_seed: NOISE_SEED,
+        stop_after: None,
+    };
+    let fleet = Fleet::bind(
+        "127.0.0.1:0",
+        vec![def],
+        DaemonConfig::new(ControllerPolicy::Wolt),
+    )
+    .unwrap();
+    let addr = fleet.local_addr().unwrap();
+    serve_with_scripted_client(addr, scenario, Some("floor-1"), frames, || {
+        let mut fleet = fleet.run().expect("the fleet survives");
+        fleet
+            .sites
+            .remove("floor-1")
+            .expect("the site reports")
+            .expect("the site's session survives")
+    })
+}
+
+/// A report and a departure for the next event, sent ahead of the
+/// honest report: accepted, the report would open a new event and move
+/// the duplicate watermark past client 1's honest report (or, mid
+/// transaction, fail the site). Both are dropped at the boundary.
+#[test]
+fn future_epoch_frames_are_rejected_and_counted_without_touching_the_session() {
+    let _guard = lock();
+    let scenario = lab_scenario(2, 41);
+    let before = obs::snapshot();
+    let outcome = daemon_session(&scenario, send_future_frames);
+    assert!(outcome.completed);
+    assert_eq!(rejected_since(&before), 2, "each future frame counted once");
+    assert_eq!(outcome.report.canonical(), reference(&scenario));
+}
+
+#[test]
+fn future_epoch_frames_are_rejected_at_a_fleet_site_too() {
+    let _guard = lock();
+    let scenario = lab_scenario(2, 41);
+    let before = obs::snapshot();
+    let outcome = fleet_session(&scenario, send_future_frames);
+    assert!(outcome.completed);
+    assert_eq!(rejected_since(&before), 2, "each future frame counted once");
+    assert_eq!(outcome.report.canonical(), reference(&scenario));
+}
+
+/// Before its session starts, a site checks what its agents send as it
+/// does during the session: a raw connection registers as client 1 and
+/// sends a report naming an extender the site does not have. The
+/// rejection is counted while the site still waits for client 0; then
+/// the connection closes and the real agents run the rig's session.
+#[test]
+fn a_pre_session_frame_that_does_not_fit_the_site_is_rejected_and_counted() {
+    let _guard = lock();
+    let scenario = lab_scenario(2, 41);
+    let mut config = DaemonConfig::new(ControllerPolicy::Wolt);
+    config.noise_seed = NOISE_SEED;
+    let daemon = Daemon::bind("127.0.0.1:0", scenario.clone(), events(), config).unwrap();
+    let addr = daemon.local_addr().unwrap();
+    let before = obs::snapshot();
+    let daemon = thread::spawn(move || daemon.run());
+
+    let mut early = TcpStream::connect(addr).unwrap();
+    early
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let hello = Envelope::Hello {
+        client: 1,
+        name: "early".into(),
+        site: None,
+    };
+    wire::send(&mut early, &hello).unwrap();
+    assert!(matches!(
+        wire::recv(&mut early).unwrap(),
+        Some(Envelope::HelloAck { .. })
+    ));
+    let n_ext = scenario.extender_positions.len();
+    let misfit = ToController::Report {
+        client: 1,
+        epoch: 0,
+        rates: vec![None; n_ext],
+        attached: n_ext,
+    };
+    wire::send(&mut early, &Envelope::Ctrl(misfit)).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while rejected_since(&before) < 1 {
+        assert!(
+            Instant::now() < deadline,
+            "the pre-session misfit was never counted in daemon.frames_rejected"
+        );
+        thread::sleep(Duration::from_millis(5));
+    }
+    drop(early);
+    // Let the site see the connection end before client 1 registers
+    // again.
+    thread::sleep(Duration::from_millis(100));
+
+    let agents: Vec<_> = (0..2)
+        .map(|i| {
+            let scenario = scenario.clone();
+            thread::spawn(move || run_agent(addr, &scenario, i, "real"))
+        })
+        .collect();
+    let outcome = daemon.join().unwrap().expect("session runs");
+    for agent in agents {
+        agent.join().unwrap().expect("agent exits");
+    }
+    assert!(outcome.completed);
+    assert_eq!(rejected_since(&before), 1, "the misfit counted once");
     assert_eq!(outcome.report.canonical(), reference(&scenario));
 }
 

@@ -54,14 +54,13 @@ fn traffic(rng: &mut ChaCha8Rng, len: usize, clients: usize, p_lifecycle: f64) -
 
 /// Runs one loopback session with every agent re-sending each report
 /// `burst` times, and returns the canonical report.
-fn burst_session(coalesce: bool, burst: u32) -> String {
+fn burst_session(burst: u32) -> String {
     let cfg = ScenarioConfig::lab(7);
     let mut rng = ChaCha8Rng::seed_from_u64(42);
     let scenario = Scenario::generate(&cfg, &mut rng).unwrap();
     let events: Vec<SessionEvent> = (0..7).map(SessionEvent::Join).collect();
     let mut config = DaemonConfig::new(ControllerPolicy::Wolt);
     config.noise_seed = 7;
-    config.coalesce = coalesce;
     let daemon = Daemon::bind("127.0.0.1:0", scenario.clone(), events, config).unwrap();
     let addr: SocketAddr = daemon.local_addr().unwrap();
     let agents: Vec<_> = (0..7)
@@ -90,14 +89,15 @@ fn burst_session(coalesce: bool, burst: u32) -> String {
 
 #[test]
 fn burst_sessions_converge_identically_with_coalescing_on_or_off() {
-    // Agents re-send every scan report 4x: the coalescer (on) and the
-    // watermark dedup (off) must both absorb the copies into the same
-    // canonical session — which is also what a burst-free run produces.
-    let clean = burst_session(true, 1);
-    let coalesced = burst_session(true, 4);
-    let deduped = burst_session(false, 4);
+    // Agents re-send every scan report 4x, then 8x: the coalescer and
+    // the watermark dedup must absorb the copies into the same canonical
+    // session at either depth — which is also what a burst-free run
+    // produces.
+    let clean = burst_session(1);
+    let coalesced = burst_session(4);
+    let deeper = burst_session(8);
     assert_eq!(coalesced, clean);
-    assert_eq!(deduped, clean);
+    assert_eq!(deeper, clean);
 }
 
 #[test]
