@@ -122,6 +122,7 @@ impl Wolt {
         };
         if let Some(report) = &p2.fractional {
             obs::counter_add("core.phase2_iterations", report.iterations as u64);
+            obs::counter_add("core.phase2_line_search_evals", report.evaluations as u64);
         }
         repair_user_limits(net, &mut p2.association)?;
         obs::counter_inc("core.solves");

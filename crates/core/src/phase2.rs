@@ -66,13 +66,12 @@ struct Phase2Objective {
 impl Phase2Objective {
     /// Per-extender mass `N_j` and weight `S_j` contributed by `x`.
     fn totals(&self, x: &[Vec<f64>]) -> (Vec<f64>, Vec<f64>) {
-        let n_ext = self.fixed_count.len();
         let mut mass = self.fixed_count.clone();
         let mut weight = self.fixed_weight.clone();
-        for (k, row) in x.iter().enumerate() {
-            for j in 0..n_ext {
-                mass[j] += row[j];
-                weight[j] += row[j] * self.inv_rate[k][j];
+        for (row, inv_row) in x.iter().zip(&self.inv_rate) {
+            for (((m, w), &xv), &inv_r) in mass.iter_mut().zip(&mut weight).zip(row).zip(inv_row) {
+                *m += xv;
+                *w += xv * inv_r;
             }
         }
         (mass, weight)
@@ -90,9 +89,8 @@ impl Objective for Phase2Objective {
 
     fn gradient(&self, x: &[Vec<f64>], grad: &mut [Vec<f64>]) {
         let (mass, weight) = self.totals(x);
-        for (k, grow) in grad.iter_mut().enumerate() {
-            for (j, g) in grow.iter_mut().enumerate() {
-                let inv_r = self.inv_rate[k][j];
+        for (grow, inv_row) in grad.iter_mut().zip(&self.inv_rate) {
+            for (j, (g, &inv_r)) in grow.iter_mut().zip(inv_row).enumerate() {
                 if inv_r == 0.0 {
                     // Masked (unreachable) coordinate; the projection keeps
                     // it at zero regardless.

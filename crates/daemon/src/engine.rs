@@ -929,10 +929,11 @@ impl SessionEngine {
     /// (drain-what's-queued: structural, never time-based, so a clean
     /// serialized session reads one report at a time). Registrations and
     /// lost connections are applied here. A message that does not fit
-    /// the site ([`fits_site`]) or the event cursor ([`fits_event`]) is
-    /// dropped and counted once in `daemon.frames_rejected`; every other
-    /// one counts in `msgs_in`. `None` when nothing is left for the
-    /// session loop.
+    /// the site ([`fits_site`]) or the event cursor ([`fits_event`]), or
+    /// that names an event the harness abandoned before the core saw it
+    /// ([`ControllerCore::is_abandoned`]), is dropped and counted once in
+    /// `daemon.frames_rejected`; every other one counts in `msgs_in`.
+    /// `None` when nothing is left for the session loop.
     fn recv_input(&mut self, wait: Duration) -> Result<Option<Input>, RecvTimeoutError> {
         let run = self.rx.recv_batch_timeout(wait, incoming_sheddable)?;
         let n_extenders = self.scenario.extender_positions.len();
@@ -944,7 +945,10 @@ impl SessionEngine {
             match incoming {
                 Incoming::Msg(msg)
                     if !fits_site(&msg, self.writers.len(), n_extenders)
-                        || !fits_event(&msg, cursor, owner) =>
+                        || !fits_event(&msg, cursor, owner)
+                        || msg
+                            .epoch()
+                            .is_some_and(|e| self.core.is_abandoned(e, cursor)) =>
                 {
                     obs::counter_inc("daemon.frames_rejected");
                 }

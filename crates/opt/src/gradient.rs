@@ -13,7 +13,7 @@
 //! The solver is generic over an [`Objective`]; `wolt-core` implements the
 //! Phase-II WiFi-throughput objective on top of it.
 
-use crate::simplex::{is_on_simplex, project_simplex, project_simplex_masked};
+use crate::simplex::{is_on_simplex, RowSupports};
 use crate::OptError;
 
 /// A differentiable objective over a block variable `x`, where `x[i]` is the
@@ -39,6 +39,9 @@ pub struct SolveReport {
     pub value: f64,
     /// Number of outer iterations performed.
     pub iterations: usize,
+    /// Number of objective evaluations the backtracking line search made:
+    /// one per candidate step tried, accepted or not.
+    pub evaluations: usize,
     /// True if the stopping rule (improvement < `tol`) fired before the
     /// iteration budget ran out.
     pub converged: bool,
@@ -134,7 +137,8 @@ impl ProjectedGradient {
     /// # Errors
     ///
     /// * [`OptError::DimensionMismatch`] if `masks` is provided with a shape
-    ///   different from `x0`, or any row of `x0` is empty.
+    ///   different from `x0` or with a row that allows no coordinate, or any
+    ///   row of `x0` is empty.
     /// * [`OptError::NonFiniteInput`] if `x0` contains non-finite values or
     ///   the objective evaluates to a non-finite value at the start.
     pub fn maximize<O: Objective>(
@@ -163,17 +167,18 @@ impl ProjectedGradient {
                     context: "masks shape differs from x0",
                 });
             }
+            if masks.iter().any(|mask| !mask.contains(&true)) {
+                return Err(OptError::DimensionMismatch {
+                    context: "a mask allows no coordinate",
+                });
+            }
         }
 
-        let project = |x: &mut Vec<Vec<f64>>| {
-            for (i, row) in x.iter_mut().enumerate() {
-                match masks {
-                    Some(masks) => project_simplex_masked(row, &masks[i]),
-                    None => project_simplex(row),
-                }
-            }
-        };
-        project(&mut x);
+        let widths: Vec<usize> = x.iter().map(Vec::len).collect();
+        let supports = RowSupports::new(&widths, masks);
+        // The projection kernel's sort buffer, shared by every row.
+        let mut sorted = Vec::new();
+        supports.project(&mut x, &mut sorted);
 
         let mut value = objective.value(&x);
         if !value.is_finite() {
@@ -183,7 +188,12 @@ impl ProjectedGradient {
         }
 
         let mut grad: Vec<Vec<f64>> = x.iter().map(|row| vec![0.0; row.len()]).collect();
+        // The one candidate buffer of the line search: every trial step is
+        // written into it and an accepted one is swapped with `x`.
+        let mut candidate = x.clone();
         let mut iterations = 0;
+        let mut evaluations = 0;
+        let mut converged = false;
 
         while iterations < self.max_iters {
             iterations += 1;
@@ -193,45 +203,33 @@ impl ProjectedGradient {
             let mut step = self.step;
             let mut accepted = None;
             for _ in 0..=self.max_backtracks {
-                let mut candidate = x.clone();
-                for (row, grow) in candidate.iter_mut().zip(&grad) {
-                    for (xv, gv) in row.iter_mut().zip(grow) {
-                        *xv += step * gv;
+                for ((crow, xrow), grow) in candidate.iter_mut().zip(&x).zip(&grad) {
+                    for ((cv, &xv), &gv) in crow.iter_mut().zip(xrow).zip(grow) {
+                        *cv = xv + step * gv;
                     }
                 }
-                project(&mut candidate);
+                supports.project(&mut candidate, &mut sorted);
                 let cand_value = objective.value(&candidate);
+                evaluations += 1;
                 if cand_value.is_finite() && cand_value > value {
-                    accepted = Some((candidate, cand_value));
+                    accepted = Some(cand_value);
                     break;
                 }
                 step *= self.backtrack;
             }
 
-            match accepted {
-                Some((candidate, cand_value)) => {
-                    let improvement = cand_value - value;
-                    x = candidate;
-                    value = cand_value;
-                    if improvement < self.tol {
-                        return Ok(SolveReport {
-                            x,
-                            value,
-                            iterations,
-                            converged: true,
-                        });
-                    }
-                }
-                // No ascent direction found at any step size: stationary
-                // point of the projected problem.
-                None => {
-                    return Ok(SolveReport {
-                        x,
-                        value,
-                        iterations,
-                        converged: true,
-                    })
-                }
+            // No ascent direction found at any step size: stationary point
+            // of the projected problem.
+            let Some(cand_value) = accepted else {
+                converged = true;
+                break;
+            };
+            let improvement = cand_value - value;
+            std::mem::swap(&mut x, &mut candidate);
+            value = cand_value;
+            if improvement < self.tol {
+                converged = true;
+                break;
             }
         }
 
@@ -239,7 +237,8 @@ impl ProjectedGradient {
             x,
             value,
             iterations,
-            converged: false,
+            evaluations,
+            converged,
         })
     }
 }
@@ -357,6 +356,52 @@ mod tests {
             .maximize(&obj, vec![vec![0.5, 0.5]], Some(&masks))
             .unwrap_err();
         assert!(matches!(err, OptError::DimensionMismatch { .. }));
+    }
+
+    #[test]
+    fn rejects_a_mask_that_allows_no_coordinate() {
+        let obj = Quadratic {
+            target: vec![vec![0.5, 0.5], vec![0.5, 0.5]],
+        };
+        let masks = vec![vec![true, true], vec![false, false]];
+        let err = ProjectedGradient::new()
+            .maximize(&obj, vec![vec![0.5, 0.5], vec![0.5, 0.5]], Some(&masks))
+            .unwrap_err();
+        assert!(matches!(err, OptError::DimensionMismatch { .. }));
+    }
+
+    /// [`Quadratic`], counting its value evaluations.
+    struct Counted {
+        inner: Quadratic,
+        values: std::cell::Cell<usize>,
+    }
+
+    impl Objective for Counted {
+        fn value(&self, x: &[Vec<f64>]) -> f64 {
+            self.values.set(self.values.get() + 1);
+            self.inner.value(x)
+        }
+        fn gradient(&self, x: &[Vec<f64>], g: &mut [Vec<f64>]) {
+            self.inner.gradient(x, g);
+        }
+    }
+
+    #[test]
+    fn evaluations_count_every_line_search_trial() {
+        let obj = Counted {
+            inner: Quadratic {
+                target: vec![vec![0.3, 0.7], vec![2.0, -1.0]],
+            },
+            values: std::cell::Cell::new(0),
+        };
+        let report = ProjectedGradient::new()
+            .with_step(8.0)
+            .maximize(&obj, vec![vec![1.0, 0.0], vec![0.0, 1.0]], None)
+            .unwrap();
+        // Every value call but the start point's is a line-search trial,
+        // and each iteration tries at least one step.
+        assert_eq!(report.evaluations, obj.values.get() - 1);
+        assert!(report.evaluations > report.iterations, "{report:?}");
     }
 
     #[test]

@@ -11,6 +11,13 @@
 //! The masked variant supports restricted candidate sets: a user that is out
 //! of WiFi range of extender `j` must keep `x_ij = 0`, so the projection is
 //! performed on the sub-vector of reachable extenders only.
+//!
+//! Every entry point runs one kernel, `project_support`: it gathers a
+//! row's active coordinates into a caller-owned sort buffer, returns early
+//! when they already lie on the simplex, and otherwise sorts them to find
+//! the threshold τ. A solver that projects the same rows many times builds
+//! their [`RowSupports`] once and reuses one buffer, so a projection
+//! allocates nothing.
 
 /// Projects `v` in place onto the probability simplex
 /// `{x : x_i ≥ 0, Σ x_i = 1}`.
@@ -31,18 +38,56 @@
 /// ```
 pub fn project_simplex(v: &mut [f64]) {
     assert!(!v.is_empty(), "cannot project an empty vector");
+    let active: Vec<usize> = (0..v.len()).collect();
+    project_support(v, &active, &[], &mut Vec::new());
+}
+
+/// Projects `v` in place onto the simplex restricted to the coordinates
+/// where `mask` is `true`; masked-out coordinates are set to exactly `0`.
+///
+/// # Panics
+///
+/// Panics if `v` and `mask` have different lengths, if no coordinate is
+/// unmasked, or if any unmasked value is non-finite.
+pub fn project_simplex_masked(v: &mut [f64], mask: &[bool]) {
+    assert_eq!(v.len(), mask.len(), "vector and mask lengths must match");
+    let (active, inactive): (Vec<usize>, Vec<usize>) = (0..v.len()).partition(|&i| mask[i]);
+    project_support(v, &active, &inactive, &mut Vec::new());
+}
+
+/// The projection kernel: projects the coordinates of `v` listed in
+/// `active` onto the probability simplex over those coordinates and sets
+/// every coordinate in `inactive` to exactly `0`. Coordinates in neither
+/// list are left alone.
+///
+/// `sorted` is a work buffer: it is cleared, filled with the active values in
+/// `active` order and sorted, so a caller that projects many rows can
+/// pass the same buffer every time and allocate only while it grows.
+///
+/// # Panics
+///
+/// Panics if `active` is empty, or if any active value is non-finite.
+fn project_support(v: &mut [f64], active: &[usize], inactive: &[usize], sorted: &mut Vec<f64>) {
     assert!(
-        v.iter().all(|x| x.is_finite()),
+        !active.is_empty(),
+        "cannot project onto simplex with no allowed coordinate"
+    );
+    sorted.clear();
+    sorted.extend(active.iter().map(|&i| v[i]));
+    assert!(
+        sorted.iter().all(|x| x.is_finite()),
         "cannot project non-finite values"
     );
+    for &i in inactive {
+        v[i] = 0.0;
+    }
 
     // Fast path: already on the simplex.
-    let sum: f64 = v.iter().sum();
-    if (sum - 1.0).abs() < 1e-12 && v.iter().all(|&x| x >= 0.0) {
+    let sum: f64 = sorted.iter().sum();
+    if (sum - 1.0).abs() < 1e-12 && sorted.iter().all(|&x| x >= 0.0) {
         return;
     }
 
-    let mut sorted: Vec<f64> = v.to_vec();
     sorted.sort_unstable_by(|a, b| b.partial_cmp(a).expect("finite values compare"));
 
     // Find the threshold tau = (prefix_sum(rho) - 1) / rho for the largest
@@ -57,33 +102,78 @@ pub fn project_simplex(v: &mut [f64]) {
         }
     }
 
-    for x in v.iter_mut() {
-        *x = (*x - tau).max(0.0);
+    for &i in active {
+        v[i] = (v[i] - tau).max(0.0);
     }
 }
 
-/// Projects `v` in place onto the simplex restricted to the coordinates
-/// where `mask` is `true`; masked-out coordinates are set to exactly `0`.
+/// The active and inactive coordinates of every row of a block variable,
+/// computed once from the rows' masks and stored contiguously, so that
+/// projecting all rows again runs the projection kernel once per row and
+/// allocates nothing.
 ///
-/// # Panics
+/// # Example
 ///
-/// Panics if `v` and `mask` have different lengths, if no coordinate is
-/// unmasked, or if any unmasked value is non-finite.
-pub fn project_simplex_masked(v: &mut [f64], mask: &[bool]) {
-    assert_eq!(v.len(), mask.len(), "vector and mask lengths must match");
-    let active: Vec<usize> = (0..v.len()).filter(|&i| mask[i]).collect();
-    assert!(
-        !active.is_empty(),
-        "cannot project onto simplex with no allowed coordinate"
-    );
+/// ```
+/// use wolt_opt::simplex::RowSupports;
+///
+/// let masks = vec![vec![true, false, true], vec![false, true, false]];
+/// let supports = RowSupports::new(&[3, 3], Some(&masks));
+/// let mut x = vec![vec![0.8, 5.0, 0.8], vec![0.2, -1.0, 0.3]];
+/// supports.project(&mut x, &mut Vec::new());
+/// assert_eq!(x, vec![vec![0.5, 0.0, 0.5], vec![0.0, 1.0, 0.0]]);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowSupports {
+    /// Per row, its active coordinates followed by its inactive ones.
+    coords: Vec<usize>,
+    /// Per row, `(start, split, end)` into `coords`: `start..split` is
+    /// active, `split..end` inactive.
+    rows: Vec<(usize, usize, usize)>,
+}
 
-    let mut sub: Vec<f64> = active.iter().map(|&i| v[i]).collect();
-    project_simplex(&mut sub);
-    for x in v.iter_mut() {
-        *x = 0.0;
+impl RowSupports {
+    /// Supports for rows of the given `widths`: the coordinates where
+    /// `masks[i]` is `true` are active in row `i`, or every coordinate
+    /// when `masks` is `None`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `masks` is provided with a shape different from `widths`.
+    pub fn new(widths: &[usize], masks: Option<&[Vec<bool>]>) -> Self {
+        let mut coords = Vec::with_capacity(widths.iter().sum());
+        let mut rows = Vec::with_capacity(widths.len());
+        for (i, &width) in widths.iter().enumerate() {
+            if let Some(masks) = masks {
+                assert_eq!(masks[i].len(), width, "mask and row widths must match");
+            }
+            let allowed = |j: &usize| masks.is_none_or(|m| m[i][*j]);
+            let start = coords.len();
+            coords.extend((0..width).filter(allowed));
+            let split = coords.len();
+            coords.extend((0..width).filter(|j| !allowed(j)));
+            rows.push((start, split, coords.len()));
+        }
+        Self { coords, rows }
     }
-    for (slot, &i) in active.iter().enumerate() {
-        v[i] = sub[slot];
+
+    /// Projects every row of `x` onto its support's simplex, reusing
+    /// `sorted` as the kernel's sort buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` has a different row count than the supports, if a
+    /// row has no active coordinate, or if an active value is non-finite.
+    pub fn project(&self, x: &mut [Vec<f64>], sorted: &mut Vec<f64>) {
+        assert_eq!(x.len(), self.rows.len(), "row counts must match");
+        for (row, &(start, split, end)) in x.iter_mut().zip(&self.rows) {
+            project_support(
+                row,
+                &self.coords[start..split],
+                &self.coords[split..end],
+                sorted,
+            );
+        }
     }
 }
 

@@ -4,7 +4,7 @@
 use wolt_opt::auction::auction_assignment;
 use wolt_opt::brute;
 use wolt_opt::hungarian::max_weight_assignment;
-use wolt_opt::simplex::{is_on_simplex, project_simplex, project_simplex_masked};
+use wolt_opt::simplex::{is_on_simplex, project_simplex, project_simplex_masked, RowSupports};
 use wolt_opt::Matrix;
 use wolt_support::check::Runner;
 use wolt_support::rng::{ChaCha8Rng, Rng};
@@ -219,4 +219,151 @@ fn masked_projection_feasible() {
             Ok(())
         },
     );
+}
+
+/// A naive Duchi et al. (2008) projection of `v` onto the simplex over
+/// the coordinates `mask` allows (all when `None`), with the on-simplex
+/// early return the solver has always taken: gather the allowed values,
+/// stable-sort a copy descending, take the last threshold
+/// `τ = (prefix_k − 1) / k` below its sorted value, and clamp.
+fn naive_projection(v: &[f64], mask: Option<&[bool]>) -> Vec<f64> {
+    let allowed: Vec<usize> = (0..v.len())
+        .filter(|&i| mask.is_none_or(|m| m[i]))
+        .collect();
+    let sub: Vec<f64> = allowed.iter().map(|&i| v[i]).collect();
+    let sum: f64 = sub.iter().sum();
+    let projected: Vec<f64> = if (sum - 1.0).abs() < 1e-12 && sub.iter().all(|&x| x >= 0.0) {
+        sub
+    } else {
+        let mut sorted = sub.clone();
+        sorted.sort_by(|a, b| b.partial_cmp(a).expect("finite"));
+        let mut prefix = 0.0;
+        let mut tau = 0.0;
+        for (k, &u) in sorted.iter().enumerate() {
+            prefix += u;
+            let candidate = (prefix - 1.0) / (k + 1) as f64;
+            if u - candidate > 0.0 {
+                tau = candidate;
+            }
+        }
+        sub.iter().map(|&x| (x - tau).max(0.0)).collect()
+    };
+    let mut out = vec![0.0; v.len()];
+    for (slot, &i) in allowed.iter().enumerate() {
+        out[i] = projected[slot];
+    }
+    out
+}
+
+/// One row of a projection block: its values and, unless unmasked, the
+/// coordinates it may use.
+type Row = (Vec<f64>, Option<Vec<bool>>);
+
+/// A block of rows mixing the cases a solver meets: ties, signed zeros,
+/// rows already on the simplex, masks with a single active coordinate,
+/// and unmasked rows.
+fn projection_block(rng: &mut ChaCha8Rng) -> Vec<Row> {
+    const PALETTE: [f64; 7] = [0.0, -0.0, 0.25, 0.5, 1.0, -0.5, 2.0];
+    let rows = rng.gen_range(1..=8usize);
+    (0..rows)
+        .map(|_| {
+            let n = rng.gen_range(1..=16usize);
+            let mask = match rng.gen_range(0..4u32) {
+                0 => None,
+                1 => {
+                    let only = rng.gen_range(0..n);
+                    Some((0..n).map(|j| j == only).collect::<Vec<bool>>())
+                }
+                _ => {
+                    let mut m: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.6)).collect();
+                    let first = rng.gen_range(0..n);
+                    m[first] = true;
+                    Some(m)
+                }
+            };
+            let mut v: Vec<f64> = (0..n)
+                .map(|_| {
+                    if rng.gen_bool(0.4) {
+                        PALETTE[rng.gen_range(0..PALETTE.len())]
+                    } else {
+                        rng.gen_range(-2.0..2.0)
+                    }
+                })
+                .collect();
+            if rng.gen_bool(0.25) {
+                // Already on the simplex over the allowed coordinates: a
+                // vertex, with signed zeros elsewhere.
+                let allowed: Vec<usize> = (0..n)
+                    .filter(|&j| mask.as_ref().is_none_or(|m| m[j]))
+                    .collect();
+                let vertex = allowed[rng.gen_range(0..allowed.len())];
+                for &j in &allowed {
+                    v[j] = if j == vertex { 1.0 } else { -0.0 };
+                }
+            }
+            (v, mask)
+        })
+        .collect()
+}
+
+fn bits_differ(got: &[f64], want: &[f64]) -> bool {
+    got.len() != want.len()
+        || got
+            .iter()
+            .zip(want)
+            .any(|(a, b)| a.to_bits() != b.to_bits())
+}
+
+/// The projection kernel is bit-identical to the naive algorithm, through
+/// every entry point: the per-row wrappers and a block projected with
+/// precomputed supports and one shared sort buffer.
+#[test]
+fn projection_kernel_matches_naive_reference_bitwise() {
+    Runner::new("projection_kernel_matches_naive_reference_bitwise")
+        .cases(512)
+        .run(projection_block, |block| {
+            let want: Vec<Vec<f64>> = block
+                .iter()
+                .map(|(v, mask)| naive_projection(v, mask.as_deref()))
+                .collect();
+            for ((v, mask), want) in block.iter().zip(&want) {
+                let mut got = v.clone();
+                match mask {
+                    Some(mask) => project_simplex_masked(&mut got, mask),
+                    None => project_simplex(&mut got),
+                }
+                if bits_differ(&got, want) {
+                    return Err(format!(
+                        "wrapper: {v:?} mask {mask:?} -> {got:?}, want {want:?}"
+                    ));
+                }
+            }
+            // The solver's path: one support set for the whole block and
+            // a sort buffer shared by every row. Unmasked rows get a
+            // full mask, as a masked solve would see them.
+            let widths: Vec<usize> = block.iter().map(|(v, _)| v.len()).collect();
+            let masks: Vec<Vec<bool>> = block
+                .iter()
+                .map(|(v, mask)| mask.clone().unwrap_or_else(|| vec![true; v.len()]))
+                .collect();
+            let mut got: Vec<Vec<f64>> = block.iter().map(|(v, _)| v.clone()).collect();
+            let mut sorted = Vec::new();
+            RowSupports::new(&widths, Some(&masks)).project(&mut got, &mut sorted);
+            for (row, (got, want)) in got.iter().zip(&want).enumerate() {
+                if bits_differ(got, want) {
+                    return Err(format!("block row {row}: {got:?}, want {want:?}"));
+                }
+            }
+            // The unmasked rows alone, as an unmasked solve sees them.
+            let unmasked: Vec<usize> = (0..block.len()).filter(|&r| block[r].1.is_none()).collect();
+            let widths: Vec<usize> = unmasked.iter().map(|&r| block[r].0.len()).collect();
+            let mut got: Vec<Vec<f64>> = unmasked.iter().map(|&r| block[r].0.clone()).collect();
+            RowSupports::new(&widths, None).project(&mut got, &mut sorted);
+            for (got, &r) in got.iter().zip(&unmasked) {
+                if bits_differ(got, &want[r]) {
+                    return Err(format!("unmasked row {r}: {got:?}, want {:?}", want[r]));
+                }
+            }
+            Ok(())
+        });
 }

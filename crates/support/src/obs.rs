@@ -56,13 +56,16 @@ use crate::json::{FromJson, Json, JsonError, ToJson};
 /// with recording disabled.
 pub const OBS_ENV: &str = "WOLT_OBS";
 
-/// Default histogram bucket upper bounds, in microseconds: a coarse
-/// latency ladder from 50µs to 5s. Values above the last bound land in
-/// the overflow bucket. The bounds are compile-time constants so every
-/// process — any thread count, any machine — buckets identically.
+/// Default histogram bucket upper bounds, in microseconds: a log-spaced
+/// 1-2-5 ladder from 1µs to 5s, three bounds per decade, so neighbouring
+/// bounds differ by at most 2.5× and a quantile read from the buckets
+/// resolves a 25µs solve as well as a 15ms one. Values above the last
+/// bound land in the overflow bucket. The bounds are compile-time
+/// constants so every process — any thread count, any machine — buckets
+/// identically.
 pub const DEFAULT_TIME_BUCKETS_US: &[u64] = &[
-    50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
-    1_000_000, 2_500_000, 5_000_000,
+    1, 2, 5, 10, 20, 50, 100, 200, 500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000,
+    200_000, 500_000, 1_000_000, 2_000_000, 5_000_000,
 ];
 
 /// Maximum number of events retained by the trace ring; older events are
@@ -918,6 +921,26 @@ mod tests {
         assert_eq!(hist.count, 5);
         assert_eq!(hist.sum, 5 + 10 + 11 + 100 + 5000);
         assert_eq!(hist.max, 5000);
+    }
+
+    #[test]
+    fn default_time_buckets_are_log_spaced_from_1us_to_5s() {
+        let b = DEFAULT_TIME_BUCKETS_US;
+        assert_eq!((b[0], b[b.len() - 1]), (1, 5_000_000));
+        assert!(b.windows(2).all(|w| w[0] < w[1] && w[1] * 2 <= w[0] * 5));
+        // A 7-user solve (~25µs) and a 200-user one (~2.6ms) each read
+        // back within one 1-2-5 step of their true value.
+        let _g = lock();
+        let h = histogram("test.obs.default_buckets");
+        for v in [22, 25, 31, 2_400, 2_600, 14_700] {
+            h.observe(v);
+        }
+        let snap = snapshot();
+        let hist = &snap.histograms["test.obs.default_buckets"];
+        assert_eq!(hist.quantile(0.0), Some(50));
+        assert_eq!(hist.quantile(0.5), Some(50));
+        assert_eq!(hist.quantile(0.8), Some(5_000));
+        assert_eq!(hist.quantile(1.0), Some(20_000));
     }
 
     #[test]

@@ -177,6 +177,17 @@ impl ControllerCore {
         self.watermark.is_some_and(|w| epoch <= w)
     }
 
+    /// Whether `epoch` names an event the harness closed without this
+    /// core ever processing it: below `cursor`, the event the harness is
+    /// on, and above the watermark. A late report or departure for such
+    /// an event must not be planned: it would open a directive
+    /// transaction for an event the harness already gave up on, and the
+    /// current event's own report would then fail that transaction. Both
+    /// transports drop it before it reaches the core.
+    pub fn is_abandoned(&self, epoch: u64, cursor: u64) -> bool {
+        epoch < cursor && !self.is_duplicate(epoch)
+    }
+
     fn begin_epoch(&mut self, epoch: u64) {
         self.watermark = Some(epoch);
         self.telemetry.advance_epoch();
@@ -793,6 +804,24 @@ mod tests {
         let mut sorted = seqs.clone();
         sorted.sort_unstable();
         assert_eq!(seqs, sorted);
+    }
+
+    #[test]
+    fn only_unseen_epochs_below_the_cursor_are_abandoned() {
+        let mut cc = core(ControllerPolicy::Rssi, 3, &[60.0, 20.0]);
+        // Nothing processed yet: every epoch below the cursor was closed
+        // unseen; the cursor's own event and later ones are not closed.
+        assert!(cc.is_abandoned(0, 2));
+        assert!(cc.is_abandoned(1, 2));
+        assert!(!cc.is_abandoned(2, 2));
+        assert!(!cc.is_abandoned(3, 2));
+        // The core planned event 0; the harness abandoned event 1 and
+        // drives event 2. A late answer to event 1 is abandoned; event
+        // 0's retransmission is a duplicate the core drops itself.
+        cc.handle_report(0, 0, &[mb(15.0), mb(10.0)], 0).unwrap();
+        assert!(!cc.is_abandoned(0, 2));
+        assert!(cc.is_abandoned(1, 2));
+        assert!(!cc.is_abandoned(2, 2));
     }
 
     fn frame(client: usize, epoch: u64, rates: &[Option<Mbps>], attached: usize) -> ReportFrame {

@@ -60,6 +60,19 @@ pub enum ToController {
     },
 }
 
+impl ToController {
+    /// The harness epoch a report or departure notice names; `None` for
+    /// an ack, which carries no epoch.
+    pub fn epoch(&self) -> Option<u64> {
+        match *self {
+            ToController::Report { epoch, .. } | ToController::Departed { epoch, .. } => {
+                Some(epoch)
+            }
+            ToController::Ack { .. } => None,
+        }
+    }
+}
+
 /// Messages the Central Controller sends to a client agent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ToClient {

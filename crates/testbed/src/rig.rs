@@ -39,6 +39,7 @@
 //! happen, never *what* the session decides — provided the plan's delays
 //! stay well below the ack retry budget.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
@@ -349,12 +350,16 @@ pub fn run_faulty_session(
         }));
     }
 
+    // The harness's event cursor, published to the CC thread after
+    // every completed or abandoned event.
+    let cursor = Arc::new(AtomicU64::new(0));
     // The Central Controller thread: the shared decision core plus this
     // rig's mpsc transport.
     let ctx = ControllerCtx {
         deadlines,
         plan: Arc::clone(&plan),
         strict,
+        cursor: Arc::clone(&cursor),
     };
     let core = ControllerCore::new(
         n_users,
@@ -391,6 +396,7 @@ pub fn run_faulty_session(
                     Ok(DoneEvent { epoch, result }) if epoch == event.epoch => {
                         result?;
                         harness.complete(lock_physical(&physical)[i]);
+                        cursor.store(harness.state().epochs_done as u64, Ordering::SeqCst);
                         continue 'events;
                     }
                     // Stale completion of an earlier retransmitted event.
@@ -414,6 +420,7 @@ pub fn run_faulty_session(
         // already happened physically or the radio is simply abandoned
         // to the survivor mask.
         harness.abandon();
+        cursor.store(harness.state().epochs_done as u64, Ordering::SeqCst);
     }
 
     // Shutdown: stop agents, close the CC inbox, join threads.
@@ -586,12 +593,16 @@ struct ControllerCtx {
     deadlines: Deadlines,
     plan: Arc<FaultPlan>,
     strict: bool,
+    /// The harness's event cursor: a report or departure for an earlier
+    /// event the core never processed was abandoned and is dropped.
+    cursor: Arc<AtomicU64>,
 }
 
-/// The Central Controller loop: dedup incoming events by epoch, hand each
-/// genuine event to the [`ControllerCore`] for planning, run one directive
-/// transaction per event, absorb late acks in between. Returns the core
-/// and its directive retransmissions at shutdown.
+/// The Central Controller loop: dedup incoming events by epoch, drop the
+/// late frames of abandoned events ([`ControllerCore::is_abandoned`]),
+/// hand each genuine event to the [`ControllerCore`] for planning, run
+/// one directive transaction per event, absorb late acks in between.
+/// Returns the core and its directive retransmissions at shutdown.
 fn controller(
     ctx: ControllerCtx,
     mut core: ControllerCore,
@@ -606,6 +617,10 @@ fn controller(
             Err(RecvTimeoutError::Timeout) => continue,
             Err(RecvTimeoutError::Disconnected) => break,
         };
+        let cursor = ctx.cursor.load(Ordering::SeqCst);
+        if msg.epoch().is_some_and(|e| core.is_abandoned(e, cursor)) {
+            continue;
+        }
         let Some((epoch, planned)) = core.handle_message(msg) else {
             continue;
         };

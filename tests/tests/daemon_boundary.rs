@@ -23,7 +23,7 @@ use wolt_daemon::{DaemonOutcome, SiteDef};
 use wolt_sim::Scenario;
 use wolt_support::json::ToJson;
 use wolt_support::obs;
-use wolt_testbed::protocol::ToController;
+use wolt_testbed::protocol::{ToAgent, ToController};
 use wolt_testbed::{run_faulty_session, ControllerPolicy, FaultPlan, RigConfig, SessionEvent};
 use wolt_tests::{lab_scenario, scripted_agent};
 use wolt_units::Mbps;
@@ -436,4 +436,97 @@ fn single_site_daemon_refuses_fleet_ops_and_sited_hellos() {
     let outcome = daemon.join().unwrap().expect("session runs");
     agent.join().unwrap().expect("agent exits");
     assert!(outcome.completed);
+}
+
+/// Client 1 of a three-client session, answering its join only after
+/// `delay`: its report claims an extender it cannot reach, so a plan
+/// built on it must direct the client elsewhere, and it never acks a
+/// directive.
+fn late_agent(addr: SocketAddr, scenario: &Scenario, delay: Duration) -> io::Result<()> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
+    let hello = Envelope::Hello {
+        client: 1,
+        name: "late".into(),
+        site: None,
+    };
+    wire::send(&mut stream, &hello)?;
+    if !matches!(wire::recv(&mut stream)?, Some(Envelope::HelloAck { .. })) {
+        return Err(io::Error::other("handshake refused"));
+    }
+    let n_ext = scenario.extender_positions.len();
+    loop {
+        match wire::recv(&mut stream)? {
+            Some(Envelope::Agent(ToAgent::Join { epoch, .. })) => {
+                thread::sleep(delay);
+                let reachable = (0..n_ext)
+                    .find(|&j| scenario.rate(1, j).is_some())
+                    .expect("client 1 reaches an extender");
+                let report = ToController::Report {
+                    client: 1,
+                    epoch,
+                    rates: (0..n_ext)
+                        .map(|j| (j == reachable).then(|| scenario.rate(1, j)).flatten())
+                        .collect(),
+                    attached: (reachable + 1) % n_ext,
+                };
+                wire::send(&mut stream, &Envelope::Ctrl(report))?;
+            }
+            Some(Envelope::Agent(ToAgent::Shutdown)) | None => return Ok(()),
+            Some(_) => {}
+        }
+    }
+}
+
+/// With one 300 ms attempt per event, client 1 answers its join at
+/// 350 ms, after the harness abandoned that event and commanded client
+/// 2's join. The late report names an event the core never saw; planned,
+/// it would open a directive transaction (client 1 never acks) that
+/// client 2's on-time report, 100 ms into its event, then fails. It is
+/// dropped at the boundary and counted instead, and the session ends.
+#[test]
+fn a_late_report_for_an_abandoned_event_is_rejected_without_failing_the_site() {
+    let _guard = lock();
+    let scenario = lab_scenario(3, 41);
+    let events = vec![
+        SessionEvent::Join(0),
+        SessionEvent::Join(1),
+        SessionEvent::Join(2),
+    ];
+    let mut config = DaemonConfig::new(ControllerPolicy::Wolt);
+    config.noise_seed = NOISE_SEED;
+    config.deadlines.event = Duration::from_millis(300);
+    config.deadlines.event_attempts = 1;
+    let daemon = Daemon::bind("127.0.0.1:0", scenario.clone(), events, config).unwrap();
+    let addr = daemon.local_addr().unwrap();
+    let before = obs::snapshot();
+    let daemon = thread::spawn(move || daemon.run());
+
+    let honest = {
+        let scenario = scenario.clone();
+        thread::spawn(move || run_agent(addr, &scenario, 0, "honest"))
+    };
+    let late = {
+        let scenario = scenario.clone();
+        thread::spawn(move || late_agent(addr, &scenario, Duration::from_millis(350)))
+    };
+    let on_time = {
+        let scenario = scenario.clone();
+        thread::spawn(move || {
+            scripted_agent(addr, &scenario, 2, None, 0, 0, |_, _| {
+                thread::sleep(Duration::from_millis(100));
+                Ok(())
+            })
+        })
+    };
+    let outcome = daemon
+        .join()
+        .unwrap()
+        .expect("a late report for an abandoned event does not fail the site");
+    honest.join().unwrap().expect("honest agent exits");
+    for agent in [late, on_time] {
+        agent.join().unwrap().expect("scripted agent exits");
+    }
+    assert!(outcome.completed);
+    assert_eq!(rejected_since(&before), 1, "the late report counted once");
 }

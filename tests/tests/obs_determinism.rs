@@ -13,6 +13,10 @@
 //! commutative, so any divergence here means an obs write leaked into a
 //! decision path or a shard was lost.
 //!
+//! The solver's work counters are part of the map: `core.phase2_iterations`
+//! and `core.phase2_line_search_evals`, the objective evaluations of the
+//! Phase-II backtracking line search, must total the same at every width.
+//!
 //! Timing histograms (`*_us`) and gauges are deliberately outside this
 //! contract; only counters are compared.
 
@@ -93,6 +97,19 @@ fn counter(map: &BTreeMap<String, u64>, name: &str) -> u64 {
     map.get(name).copied().unwrap_or(0)
 }
 
+/// Non-vacuousness of the Phase-II work counters the matrix pins: the
+/// fractional solve ran, and its line search evaluated the objective at
+/// least once per iteration.
+fn assert_phase2_work(counters: &BTreeMap<String, u64>) {
+    let iterations = counter(counters, "core.phase2_iterations");
+    let evals = counter(counters, "core.phase2_line_search_evals");
+    assert!(iterations > 0, "no Phase-II iterations counted");
+    assert!(
+        evals >= iterations,
+        "{evals} line-search evaluations for {iterations} Phase-II iterations"
+    );
+}
+
 fn measured_faulty_session() -> (String, BTreeMap<String, u64>) {
     obs::reset();
     let mut config = RigConfig::new(ControllerPolicy::Wolt);
@@ -158,6 +175,7 @@ fn faulty_session_counters_are_thread_count_invariant() {
         // Non-vacuousness: the lossy plan must actually exercise the
         // solver, directive, and retransmission counters being pinned.
         assert!(counter(counters, "core.solves") > 0, "no solves counted");
+        assert_phase2_work(counters);
         assert!(
             counter(counters, "cc.directives") > 0,
             "no directives counted"
@@ -175,6 +193,7 @@ fn daemon_loopback_counters_are_thread_count_invariant() {
     let _guard = lock();
     assert_matrix("daemon loopback", measured_daemon_loopback, |counters| {
         assert!(counter(counters, "core.solves") > 0, "no solves counted");
+        assert_phase2_work(counters);
         assert!(
             counter(counters, "cc.directives") > 0,
             "no directives counted"
